@@ -1,6 +1,7 @@
 #ifndef LAKE_EMBED_WORD_EMBEDDING_H_
 #define LAKE_EMBED_WORD_EMBEDDING_H_
 
+#include <cstdint>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -12,7 +13,7 @@ namespace lake {
 /// Deterministic fastText-style word embeddings — the library's substitute
 /// for pre-trained language models (see DESIGN.md, substitution 1).
 ///
-/// A token's vector is the normalized sum of pseudo-random unit vectors of
+/// A token's vector is the normalized sum of pseudo-random sign vectors of
 /// (a) the whole token and (b) its character n-grams (default 3..5, with
 /// boundary markers), each derived purely from a hash. Tokens that share
 /// surface structure — same domain morphology, shared words, common
@@ -25,13 +26,11 @@ class WordEmbedding {
     size_t dim = 64;
     size_t min_gram = 3;
     size_t max_gram = 5;
-    /// Relative weight of the whole-token vector vs each n-gram vector.
-    double word_weight = 1.0;
     uint64_t seed = 0x5eedbeef;
   };
 
   WordEmbedding() : WordEmbedding(Options{}) {}
-  explicit WordEmbedding(Options options) : options_(options) {}
+  explicit WordEmbedding(Options options);
 
   size_t dim() const { return options_.dim; }
 
@@ -46,11 +45,19 @@ class WordEmbedding {
   Vector EmbedText(std::string_view text) const;
 
  private:
-  /// Pseudo-random unit vector of an arbitrary string feature.
-  void AccumulateFeature(std::string_view feature, double weight,
-                         Vector& acc) const;
+  /// Writes EmbedToken(token) into `out` (dim floats). `lanes` is scratch
+  /// of two words per 4-component block, reused across calls.
+  void EmbedTokenInto(std::string_view token, std::vector<uint64_t>& lanes,
+                      Vector& out) const;
+
+  /// Adds one feature's sign bits to the per-component +1 counts in
+  /// `lanes`.
+  void AccumulateFeature(std::string_view feature, uint64_t* lanes) const;
 
   Options options_;
+  /// Mix64(i + 1) for each block starting at component i: the constant half
+  /// of the per-block hash Hash64(feature_hash, i + 1).
+  std::vector<uint64_t> block_seeds_;
 };
 
 }  // namespace lake

@@ -2,22 +2,134 @@
 
 #include <algorithm>
 #include <bit>
+#include <cstring>
 
 namespace lake::serve {
 
+namespace {
+
+// Per-entry bookkeeping besides the packed block: the LRU list node, the
+// hash-map node and bucket slot, and their allocator headers.
+constexpr size_t kEntryOverheadBytes = 96;
+
+// Packed layout: varint counts of tables, columns, table_names and shards,
+// then each table as (varint id, double score, varint why length, why
+// bytes), each column as (varint table id, varint column index, double
+// score, varint why length, why bytes), each name as (varint length,
+// bytes), each shard as a varint. One schema serves both sinks below.
+template <typename Sink>
+void Encode(const CachedResult& v, Sink& out) {
+  out.Varint(v.tables.size());
+  out.Varint(v.columns.size());
+  out.Varint(v.table_names.size());
+  out.Varint(v.shards.size());
+  for (const TableResult& t : v.tables) {
+    out.Varint(t.table_id);
+    out.Double(t.score);
+    out.String(t.why);
+  }
+  for (const ColumnResult& c : v.columns) {
+    out.Varint(c.column.table_id);
+    out.Varint(c.column.column_index);
+    out.Double(c.score);
+    out.String(c.why);
+  }
+  for (const std::string& n : v.table_names) out.String(n);
+  for (uint32_t s : v.shards) out.Varint(s);
+}
+
+struct SizeSink {
+  size_t bytes = 0;
+  void Varint(uint64_t v) {
+    do {
+      ++bytes;
+      v >>= 7;
+    } while (v != 0);
+  }
+  void Double(double) { bytes += sizeof(double); }
+  void String(const std::string& s) {
+    Varint(s.size());
+    bytes += s.size();
+  }
+};
+
+struct WriteSink {
+  char* p;
+  void Varint(uint64_t v) {
+    while (v >= 0x80) {
+      *p++ = static_cast<char>((v & 0x7f) | 0x80);
+      v >>= 7;
+    }
+    *p++ = static_cast<char>(v);
+  }
+  void Double(double v) {
+    std::memcpy(p, &v, sizeof(v));
+    p += sizeof(v);
+  }
+  void String(const std::string& s) {
+    Varint(s.size());
+    std::memcpy(p, s.data(), s.size());
+    p += s.size();
+  }
+};
+
+size_t PackedSize(const CachedResult& v) {
+  SizeSink size;
+  Encode(v, size);
+  return size.bytes;
+}
+
+// Reads back what WriteSink wrote; the buffer is the cache's own, so it is
+// trusted.
+struct Reader {
+  const char* p;
+  uint64_t Varint() {
+    uint64_t v = 0;
+    for (int shift = 0;; shift += 7) {
+      const auto byte = static_cast<uint8_t>(*p++);
+      v |= static_cast<uint64_t>(byte & 0x7f) << shift;
+      if ((byte & 0x80) == 0) return v;
+    }
+  }
+  double Double() {
+    double v;
+    std::memcpy(&v, p, sizeof(v));
+    p += sizeof(v);
+    return v;
+  }
+  std::string String() {
+    const size_t n = Varint();
+    std::string s(p, n);
+    p += n;
+    return s;
+  }
+};
+
+void Unpack(const char* packed, CachedResult* out) {
+  Reader in{packed};
+  out->tables.resize(in.Varint());
+  out->columns.resize(in.Varint());
+  out->table_names.resize(in.Varint());
+  out->shards.resize(in.Varint());
+  for (TableResult& t : out->tables) {
+    t.table_id = static_cast<TableId>(in.Varint());
+    t.score = in.Double();
+    t.why = in.String();
+  }
+  for (ColumnResult& c : out->columns) {
+    c.column.table_id = static_cast<TableId>(in.Varint());
+    c.column.column_index = static_cast<uint32_t>(in.Varint());
+    c.score = in.Double();
+    c.why = in.String();
+  }
+  for (std::string& n : out->table_names) n = in.String();
+  for (uint32_t& s : out->shards) s = static_cast<uint32_t>(in.Varint());
+}
+
+}  // namespace
+
 size_t CachedResult::ApproxBytes() const {
-  size_t bytes = sizeof(CachedResult);
-  for (const TableResult& t : tables) {
-    bytes += sizeof(TableResult) + t.why.capacity();
-  }
-  for (const ColumnResult& c : columns) {
-    bytes += sizeof(ColumnResult) + c.why.capacity();
-  }
-  for (const std::string& n : table_names) {
-    bytes += sizeof(std::string) + n.capacity();
-  }
-  bytes += shards.capacity() * sizeof(uint32_t);
-  return bytes;
+  return kEntryOverheadBytes + PackedSize(*this);
 }
 
 ResultCache::ResultCache(Options options) {
@@ -39,13 +151,17 @@ bool ResultCache::Lookup(uint64_t key, CachedResult* out) {
   }
   ++shard.hits;
   shard.lru.splice(shard.lru.begin(), shard.lru, it->second);
-  *out = it->second->value;
+  Unpack(it->second->packed.get(), out);
   return true;
 }
 
-void ResultCache::Insert(uint64_t key, CachedResult value) {
-  const size_t bytes = value.ApproxBytes();
+void ResultCache::Insert(uint64_t key, const CachedResult& value) {
+  const size_t packed_size = PackedSize(value);
+  const size_t bytes = kEntryOverheadBytes + packed_size;
   if (bytes > per_shard_capacity_) return;  // oversized: never admitted
+  auto packed = std::make_unique_for_overwrite<char[]>(packed_size);
+  WriteSink sink{packed.get()};
+  Encode(value, sink);
   Shard& shard = ShardFor(key);
   std::lock_guard<std::mutex> lock(shard.mu);
   auto it = shard.map.find(key);
@@ -54,7 +170,7 @@ void ResultCache::Insert(uint64_t key, CachedResult value) {
     shard.lru.erase(it->second);
     shard.map.erase(it);
   }
-  shard.lru.push_front(Entry{key, bytes, std::move(value)});
+  shard.lru.push_front(Entry{key, bytes, std::move(packed)});
   shard.map[key] = shard.lru.begin();
   shard.bytes += bytes;
   ++shard.insertions;

@@ -25,7 +25,8 @@ struct CachedResult {
   std::vector<std::string> table_names;
   std::vector<uint32_t> shards;
 
-  /// Approximate heap footprint, used for the cache's memory bound.
+  /// Bytes the cache charges for this value: the size of its packed form
+  /// plus a fixed per-entry overhead for the LRU list and map nodes.
   size_t ApproxBytes() const;
 };
 
@@ -36,6 +37,11 @@ struct CachedResult {
 /// least-recently-used entries once its byte budget (capacity_bytes /
 /// num_shards) is exceeded. Hit/miss/eviction/insertion counters are
 /// aggregated across shards.
+///
+/// Each value is stored packed into one heap block (ids, scores and `why`
+/// strings back to back) and unpacked on Lookup, which copies out anyway:
+/// a resident entry costs one allocation instead of a vector plus one per
+/// explanation string, and the byte bound counts the packed size.
 class ResultCache {
  public:
   struct Options {
@@ -65,7 +71,7 @@ class ResultCache {
   /// Inserts (or replaces) a value, then evicts LRU entries until the
   /// shard fits its budget. Values larger than a whole shard are not
   /// admitted (they would evict everything for one unlikely-reused entry).
-  void Insert(uint64_t key, CachedResult value);
+  void Insert(uint64_t key, const CachedResult& value);
 
   /// Drops every entry (epoch bumps route around stale keys; Clear also
   /// returns the memory).
@@ -77,8 +83,8 @@ class ResultCache {
  private:
   struct Entry {
     uint64_t key = 0;
-    size_t bytes = 0;
-    CachedResult value;
+    size_t bytes = 0;                // ApproxBytes() of the value
+    std::unique_ptr<char[]> packed;  // the value, packed
   };
 
   struct Shard {

@@ -30,9 +30,9 @@ class TopK {
       std::push_heap(heap_.begin(), heap_.end(), MinFirst);
       return;
     }
-    const Entry& worst = heap_.front();
-    if (score > worst.score ||
-        (score == worst.score && false)) {  // strict: first-seen wins ties
+    // Strict: an equal score never displaces the held item, so the
+    // first-seen item wins ties.
+    if (score > heap_.front().score) {
       std::pop_heap(heap_.begin(), heap_.end(), MinFirst);
       heap_.back() = Entry{score, seq_++, std::move(item)};
       std::push_heap(heap_.begin(), heap_.end(), MinFirst);

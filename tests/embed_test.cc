@@ -1,12 +1,15 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <random>
 
 #include "embed/column_encoder.h"
 #include "embed/contextual_encoder.h"
 #include "embed/table_encoder.h"
 #include "embed/word_embedding.h"
 #include "table/table.h"
+#include "util/hash.h"
 #include "util/logging.h"
 
 namespace lake {
@@ -55,6 +58,116 @@ TEST(WordEmbeddingTest, TextAveragesTokens) {
   const Vector t = words.EmbedText("london paris");
   EXPECT_NEAR(Norm(t), 1.0, 1e-5);
   EXPECT_GT(CosineSimilarity(t, words.EmbedToken("london")), 0.2);
+}
+
+// The straightforward per-feature algorithm the fused kernel replaced,
+// kept verbatim as the exactness reference: every feature adds a +-1.0f
+// sign vector, one Hash64(base, i + 1) per 4 components, to a float
+// accumulator over the whole token and the n-grams of "<token>".
+Vector ReferenceEmbedToken(std::string_view token, size_t dim,
+                           size_t min_gram = 3, size_t max_gram = 5,
+                           uint64_t seed = 0x5eedbeef) {
+  auto accumulate = [&](std::string_view feature, double weight, Vector& acc) {
+    const uint64_t base = Hash64(feature, seed);
+    for (size_t i = 0; i < dim; i += 4) {
+      uint64_t h = Hash64(base, /*seed=*/i + 1);
+      for (size_t j = i; j < i + 4 && j < dim; ++j) {
+        acc[j] += static_cast<float>(weight * (((h & 1) != 0) ? 1.0 : -1.0));
+        h >>= 1;
+      }
+    }
+  };
+  Vector acc(dim, 0.0f);
+  if (token.empty()) return acc;
+  accumulate(token, 1.0, acc);
+  std::string marked = "<";
+  marked += token;
+  marked += ">";
+  for (size_t g = min_gram; g <= max_gram; ++g) {
+    if (marked.size() < g) break;
+    for (size_t i = 0; i + g <= marked.size(); ++i) {
+      accumulate(std::string_view(marked).substr(i, g), 1.0, acc);
+    }
+  }
+  NormalizeInPlace(acc);
+  return acc;
+}
+
+bool SameBytes(const Vector& a, const Vector& b) {
+  return a.size() == b.size() &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(float)) == 0;
+}
+
+TEST(WordEmbeddingTest, KernelIsBitExactAgainstReference) {
+  std::mt19937_64 rng(20230618);
+  std::vector<std::string> tokens = {"", "a", "z9", "<", ">", "<>", "ab",
+                                     "0", "42", "2024", "1234567890"};
+  for (int n = 0; n < 3000; ++n) {
+    const size_t len = rng() % 20;
+    const bool digits = n % 5 == 0;
+    std::string t;
+    for (size_t k = 0; k < len; ++k) {
+      t += digits ? static_cast<char>('0' + rng() % 10)
+                  : static_cast<char>('a' + rng() % 26);
+    }
+    tokens.push_back(t);
+  }
+  tokens.push_back(std::string(700, 'q'));
+  for (size_t dim : {16, 48, 64, 100}) {
+    const WordEmbedding words(WordEmbedding::Options{.dim = dim});
+    for (const std::string& t : tokens) {
+      ASSERT_TRUE(SameBytes(words.EmbedToken(t), ReferenceEmbedToken(t, dim)))
+          << "dim " << dim << " token '" << t << "'";
+    }
+  }
+  // A partial last block, a non-default gram range (1- and 2-grams) and seed.
+  const WordEmbedding words(WordEmbedding::Options{
+      .dim = 37, .min_gram = 1, .max_gram = 2, .seed = 7});
+  for (size_t n = 0; n < 500; ++n) {
+    const std::string& t = tokens[n];
+    ASSERT_TRUE(SameBytes(words.EmbedToken(t),
+                          ReferenceEmbedToken(t, 37, 1, 2, 7)))
+        << "token '" << t << "'";
+  }
+}
+
+TEST(WordEmbeddingTest, TokensAverageBitExactReferenceTokens) {
+  const WordEmbedding words;
+  const std::vector<std::string> tokens = {"london", "", "paris", "2024"};
+  Vector expected(64, 0.0f);
+  for (const std::string& t : tokens) {
+    AddInPlace(expected, ReferenceEmbedToken(t, 64));
+  }
+  NormalizeInPlace(expected);
+  EXPECT_TRUE(SameBytes(words.EmbedTokens(tokens), expected));
+}
+
+uint32_t FloatBits(float f) {
+  uint32_t bits;
+  std::memcpy(&bits, &f, sizeof(bits));
+  return bits;
+}
+
+// Float bit patterns of the embeddings the reference algorithm produced;
+// any drift here changes every ranked union answer.
+TEST(WordEmbeddingTest, GoldenBytes) {
+  const WordEmbedding d64;
+  const Vector london = d64.EmbedToken("london");
+  EXPECT_EQ(FloatBits(london[7]), 0xbe400000u);
+  EXPECT_EQ(FloatBits(london[15]), 0x3e000000u);
+  EXPECT_EQ(FloatBits(d64.EmbedToken("a")[1]), 0x3e2d166cu);
+  EXPECT_EQ(FloatBits(d64.EmbedText("London Paris 2024")[3]), 0xbdb39ba4u);
+
+  const Vector year =
+      WordEmbedding(WordEmbedding::Options{.dim = 48}).EmbedToken("2024");
+  EXPECT_EQ(FloatBits(year[0]), 0x3e659cb0u);
+  EXPECT_EQ(FloatBits(year[2]), 0xbd991320u);
+  EXPECT_EQ(FloatBits(WordEmbedding(WordEmbedding::Options{.dim = 16})
+                          .EmbedToken("kelomira")[2]),
+            0xbe8f6381u);
+  EXPECT_EQ(FloatBits(WordEmbedding(WordEmbedding::Options{.dim = 100})
+                          .EmbedToken("ab")[1]),
+            0x3e5e2305u);
 }
 
 TEST(ColumnEncoderTest, SimilarColumnsCloser) {

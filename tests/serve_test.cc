@@ -1,4 +1,5 @@
 #include <chrono>
+#include <cmath>
 #include <future>
 #include <limits>
 #include <memory>
@@ -246,6 +247,74 @@ TEST(ResultCacheTest, ClearDropsEverything) {
   const ResultCache::Stats stats = cache.GetStats();
   EXPECT_EQ(stats.entries, 0u);
   EXPECT_EQ(stats.bytes, 0u);
+}
+
+void ExpectSameResult(const CachedResult& got, const CachedResult& want) {
+  ASSERT_EQ(got.tables.size(), want.tables.size());
+  for (size_t i = 0; i < want.tables.size(); ++i) {
+    EXPECT_EQ(got.tables[i].table_id, want.tables[i].table_id);
+    EXPECT_EQ(got.tables[i].score, want.tables[i].score);
+    EXPECT_EQ(got.tables[i].why, want.tables[i].why);
+  }
+  ASSERT_EQ(got.columns.size(), want.columns.size());
+  for (size_t i = 0; i < want.columns.size(); ++i) {
+    EXPECT_EQ(got.columns[i].column, want.columns[i].column);
+    EXPECT_EQ(got.columns[i].score, want.columns[i].score);
+    EXPECT_EQ(got.columns[i].why, want.columns[i].why);
+  }
+  EXPECT_EQ(got.table_names, want.table_names);
+  EXPECT_EQ(got.shards, want.shards);
+}
+
+TEST(ResultCacheTest, PackedEntriesRoundTripEveryField) {
+  ResultCache cache(ResultCache::Options{2, 1 << 20});
+
+  CachedResult tables;
+  tables.tables = {
+      TableResult{0, 0.8125, "starmie contextual score=0.812"},
+      TableResult{4000000000u, -1.5e-300, ""},
+      TableResult{7, std::nextafter(1.0, 2.0), std::string(300, 'w')},
+  };
+  CachedResult columns;
+  columns.columns = {
+      ColumnResult{ColumnRef{3, 0}, 12.0, "josie overlap=12"},
+      ColumnResult{ColumnRef{0xffffffffu, 0xfffffffeu}, 0.0, ""},
+      ColumnResult{ColumnRef{129, 300}, 1.0 / 3.0, std::string(300, 'c')},
+  };
+  // Cluster mode: names and shards parallel to the hits.
+  CachedResult cluster = tables;
+  cluster.table_names = {"orders_2024", "", std::string(300, 'n')};
+  cluster.shards = {0, 1, 0xffffffffu};
+  CachedResult cluster_columns = columns;
+  cluster_columns.table_names = {"a", "b", "c"};
+  cluster_columns.shards = {1, 128, 2};
+
+  const std::vector<CachedResult> values = {CachedResult{}, tables, columns,
+                                            cluster, cluster_columns};
+  for (size_t key = 0; key < values.size(); ++key) {
+    cache.Insert(key, values[key]);
+  }
+  for (size_t key = 0; key < values.size(); ++key) {
+    SCOPED_TRACE(key);
+    // Lookup overwrites whatever `out` held.
+    CachedResult out = MakeTables(5);
+    out.table_names = {"stale"};
+    ASSERT_TRUE(cache.Lookup(key, &out));
+    ExpectSameResult(out, values[key]);
+  }
+}
+
+TEST(ResultCacheTest, ByteBoundCountsPackedSize) {
+  // A 300-byte explanation costs about 300 packed bytes, not a separate
+  // heap block plus vector and node headers on top of it.
+  const CachedResult one = MakeTables(1, 300);
+  EXPECT_GE(one.ApproxBytes(), 300u);
+  EXPECT_LT(one.ApproxBytes(), 300u + 128u);
+  ResultCache cache(ResultCache::Options{1, 1 << 20});
+  cache.Insert(1, one);
+  cache.Insert(2, MakeTables(10, 30));
+  EXPECT_EQ(cache.GetStats().bytes,
+            one.ApproxBytes() + MakeTables(10, 30).ApproxBytes());
 }
 
 TEST(ResultCacheTest, StatsBinaryRoundTrip) {
