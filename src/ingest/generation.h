@@ -47,6 +47,13 @@ struct DeltaPart {
 /// last in-flight query drains, RCU-style.
 class Generation {
  public:
+  /// A frozen engine as a degenerate generation: `engine` (and its
+  /// catalog) as the base, an empty delta, version 0. Borrows rather than
+  /// owns — the engine must outlive every holder of the result — so the
+  /// Merged* queries below serve a frozen engine unchanged.
+  static std::shared_ptr<const Generation> Frozen(
+      const DiscoveryEngine& engine);
+
   /// Compaction generation (bumped by each base swap).
   uint64_t number() const { return number_; }
   /// Publish sequence (bumped by every delta publish AND every swap);
@@ -143,6 +150,15 @@ Result<std::vector<TableResult>> MergedUnionable(
     const Generation& gen, const Table& query, UnionMethod method, size_t k,
     int64_t exclude = -1, const CancelToken* cancel = nullptr,
     MergeStats* stats = nullptr);
+
+/// Joinable-and-correlated search over the base only (the delta engine
+/// never builds it, so delta tables become visible here at compaction).
+/// Tombstoned base tables are filtered like every other merged query;
+/// each hit's `why` carries the estimated correlation and containment.
+Result<std::vector<ColumnResult>> MergedCorrelated(
+    const Generation& gen, const std::vector<std::string>& key_values,
+    const std::vector<double>& numeric_values, size_t k,
+    const CancelToken* cancel = nullptr, MergeStats* stats = nullptr);
 
 }  // namespace lake::ingest
 

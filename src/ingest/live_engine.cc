@@ -11,6 +11,7 @@
 #include "util/crc32c.h"
 #include "util/failpoint.h"
 #include "util/logging.h"
+#include "util/string_util.h"
 
 namespace lake::ingest {
 
@@ -63,8 +64,20 @@ uint32_t TableContentDigest(const Table& table) {
 }
 
 // ---------------------------------------------------------------------------
-// Generation: id resolution
+// Generation: frozen wrapper and id resolution
 // ---------------------------------------------------------------------------
+
+std::shared_ptr<const Generation> Generation::Frozen(
+    const DiscoveryEngine& engine) {
+  // Empty-owner aliasing pointers: the engine is borrowed, never copied.
+  return std::shared_ptr<const Generation>(new Generation(
+      /*number=*/0, /*version=*/0,
+      std::shared_ptr<const DataLakeCatalog>(
+          std::shared_ptr<const DataLakeCatalog>(), &engine.catalog()),
+      std::shared_ptr<const DiscoveryEngine>(
+          std::shared_ptr<const DiscoveryEngine>(), &engine),
+      std::make_shared<const DeltaPart>()));
+}
 
 Result<std::string> Generation::TableName(TableId id) const {
   LAKE_ASSIGN_OR_RETURN(const Table* table, FindTableById(id));
@@ -233,6 +246,32 @@ Result<std::vector<TableResult>> MergedUnionable(
     }
   }
   return MergeRankedTopK(std::move(base), std::move(delta), k);
+}
+
+Result<std::vector<ColumnResult>> MergedCorrelated(
+    const Generation& gen, const std::vector<std::string>& key_values,
+    const std::vector<double>& numeric_values, size_t k,
+    const CancelToken* cancel, MergeStats* stats) {
+  const CorrelatedJoinSearch* correlated = gen.base().correlated_join();
+  if (correlated == nullptr) {
+    return Status::FailedPrecondition("correlated index not built");
+  }
+  if (cancel != nullptr) LAKE_RETURN_IF_ERROR(cancel->Check());
+  LAKE_ASSIGN_OR_RETURN(
+      std::vector<CorrelatedJoinSearch::CorrelatedResult> raw,
+      correlated->Search(key_values, numeric_values, BaseK(gen, k)));
+  std::vector<ColumnResult> results;
+  results.reserve(raw.size());
+  for (const CorrelatedJoinSearch::CorrelatedResult& r : raw) {
+    results.push_back(ColumnResult{
+        ColumnRef{r.table_id, r.numeric_column}, r.score,
+        StrFormat("corr=%.3f containment=%.3f", r.est_correlation,
+                  r.est_containment)});
+  }
+  std::vector<ColumnResult> base =
+      FilterBaseColumns(std::move(results), gen.delta(), stats);
+  if (base.size() > k) base.resize(k);
+  return base;
 }
 
 // ---------------------------------------------------------------------------

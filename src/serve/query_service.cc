@@ -172,9 +172,8 @@ AdmissionController::Options DeriveAdmission(
 
 }  // namespace
 
-QueryService::QueryService(const DiscoveryEngine* engine, Options options)
-    : engine_(engine),
-      options_(std::move(options)),
+QueryService::QueryService(Options options)
+    : options_(std::move(options)),
       cache_(options_.cache),
       admission_(
           std::make_unique<AdmissionController>(DeriveAdmission(options_))),
@@ -203,8 +202,6 @@ QueryService::QueryService(const DiscoveryEngine* engine, Options options)
           metrics_.GetGaugeFamily("serve.breaker.state", "modality")),
       cache_hits_(metrics_.GetCounter("serve.cache.hits")),
       cache_misses_(metrics_.GetCounter("serve.cache.misses")),
-      josie_postings_read_(
-          metrics_.GetCounter("engine.josie.postings_read")),
       approx_queries_(metrics_.GetCounter("approx.queries")),
       approx_estimates_(metrics_.GetCounter("approx.estimates")),
       approx_exact_fallbacks_(metrics_.GetCounter("approx.exact_fallbacks")),
@@ -224,16 +221,19 @@ QueryService::QueryService(const DiscoveryEngine* engine, Options options)
   admission_limit_gauge_->Set(admission_->limit());
 }
 
+QueryService::QueryService(const DiscoveryEngine* engine, Options options)
+    : QueryService(std::move(options)) {
+  frozen_ = ingest::Generation::Frozen(*engine);
+}
+
 QueryService::QueryService(const ingest::LiveEngine* live, Options options)
-    : QueryService(static_cast<const DiscoveryEngine*>(nullptr),
-                   std::move(options)) {
+    : QueryService(std::move(options)) {
   live_ = live;
 }
 
 QueryService::QueryService(const cluster::ClusterEngine* cluster,
                            Options options)
-    : QueryService(static_cast<const DiscoveryEngine*>(nullptr),
-                   std::move(options)) {
+    : QueryService(std::move(options)) {
   cluster_ = cluster;
 }
 
@@ -282,22 +282,31 @@ std::string QueryService::ModalityName(const QueryRequest& request) {
                          request.union_method);
 }
 
-uint64_t QueryService::CacheKey(const QueryRequest& request) const {
-  uint64_t version = 0;
+QueryService::ExecContext QueryService::Pin() const {
+  ExecContext ctx;
   if (cluster_ != nullptr) {
-    version = cluster_->version();
-  } else if (live_ != nullptr) {
-    version = live_->version();
+    ctx.cluster = cluster_;
+  } else {
+    ctx.gen = live_ != nullptr ? live_->Acquire() : frozen_;
   }
-  return CacheKeyWithVersion(request, version);
+  return ctx;
+}
+
+uint64_t QueryService::ExecContext::version() const {
+  return cluster != nullptr ? cluster->version() : gen->version();
+}
+
+uint64_t QueryService::CacheKey(const QueryRequest& request) const {
+  return CacheKeyWithVersion(request, Pin().version());
 }
 
 uint64_t QueryService::CacheKeyWithVersion(const QueryRequest& request,
                                            uint64_t version) const {
   uint64_t h = Hash64(static_cast<uint64_t>(request.kind), /*seed=*/3);
   h = HashCombine(h, epoch());
-  // Live mode: every publish bumps the generation version, logically
-  // invalidating all entries cached against the previous corpus.
+  // Live and cluster modes: every publish bumps the version, logically
+  // invalidating all entries cached against the previous corpus (a frozen
+  // engine stays at version 0).
   h = HashCombine(h, version);
   h = HashCombine(h, request.k);
   h = HashCombine(h, static_cast<uint64_t>(request.exclude));
@@ -335,16 +344,15 @@ uint64_t QueryService::CacheKeyWithVersion(const QueryRequest& request,
   return h;
 }
 
-bool QueryService::ApproxAvailable() const {
-  if (cluster_ != nullptr) {
-    // All shards are built with the same options, so the build flag says
-    // whether every shard carries the sample tier.
-    return cluster_->options().engine.base_options.build_approx;
+QueryService::Tiers QueryService::BuiltTiers(const ExecContext& ctx) {
+  if (ctx.cluster != nullptr) {
+    const DiscoveryEngine::Options& base =
+        ctx.cluster->options().engine.base_options;
+    return Tiers{base.build_tus, base.build_lsh_join, base.build_approx};
   }
-  if (live_ != nullptr) {
-    return live_->Acquire()->base().approx_join() != nullptr;
-  }
-  return engine_ != nullptr && engine_->approx_join() != nullptr;
+  const DiscoveryEngine& base = ctx.gen->base();
+  return Tiers{base.tus() != nullptr, base.lsh_join() != nullptr,
+               base.approx_join() != nullptr};
 }
 
 void QueryService::RecordApproxStats(const approx::ApproxQueryStats& stats) {
@@ -375,7 +383,8 @@ Result<SubmittedQuery> QueryService::Submit(QueryRequest request) {
   // kApprox needs no rewrite.
   if (request.kind == QueryKind::kJoin && request.approx_ok &&
       !request.require_exact_method &&
-      request.join_method != JoinMethod::kApprox && ApproxAvailable()) {
+      request.join_method != JoinMethod::kApprox &&
+      BuiltTiers(Pin()).approx_join) {
     request.join_method = JoinMethod::kApprox;
   }
 
@@ -448,16 +457,6 @@ QueryResponse QueryService::Execute(QueryRequest request) {
     return response;
   }
   return submitted->response.get();
-}
-
-Result<std::vector<ColumnResult>> QueryService::JosieWithStats(
-    const QueryRequest& request, const CancelToken* cancel,
-    const DiscoveryEngine& engine) {
-  JosieIndex::QueryStats stats;
-  Result<std::vector<ColumnResult>> result =
-      engine.josie_join()->Search(request.values, request.k, &stats, cancel);
-  josie_postings_read_->Add(stats.posting_entries_read);
-  return result;
 }
 
 void QueryService::RecordMergeStats(const ingest::MergeStats& stats) {
@@ -543,26 +542,10 @@ void QueryService::InvalidateCache() {
 std::optional<QueryService::Fallback> QueryService::FallbackFor(
     const QueryRequest& request, const ExecContext& ctx) const {
   // The survey's accuracy/latency pairs: the expensive high-recall method
-  // falls back to the cheap sketch/embedding-average alternative. In
-  // cluster mode the shards were all built with the same options, so the
-  // build flags say what indexes exist; single-engine mode asks the
-  // engine directly.
-  bool has_tus = false;
-  bool has_lsh_join = false;
-  bool has_approx_join = false;
-  if (ctx.cluster != nullptr) {
-    const DiscoveryEngine::Options& base =
-        ctx.cluster->options().engine.base_options;
-    has_tus = base.build_tus;
-    has_lsh_join = base.build_lsh_join;
-    has_approx_join = base.build_approx;
-  } else {
-    has_tus = ctx.engine->tus() != nullptr;
-    has_lsh_join = ctx.engine->lsh_join() != nullptr;
-    has_approx_join = ctx.engine->approx_join() != nullptr;
-  }
+  // falls back to the cheap sketch/embedding-average alternative.
+  const Tiers tiers = BuiltTiers(ctx);
   if (request.kind == QueryKind::kUnion &&
-      request.union_method == UnionMethod::kStarmie && has_tus) {
+      request.union_method == UnionMethod::kStarmie && tiers.tus) {
     return Fallback{request.join_method, UnionMethod::kTus, "union.tus",
                     brownout_union_};
   }
@@ -572,11 +555,11 @@ std::optional<QueryService::Fallback> QueryService::FallbackFor(
     // same ranking measure, an interval on every answer, and exact
     // fallback only where the interval cannot settle the top-k. The LSH
     // sketch tier remains for engines built without it.
-    if (has_approx_join) {
+    if (tiers.approx_join) {
       return Fallback{JoinMethod::kApprox, request.union_method,
                       "join.approx", brownout_join_};
     }
-    if (has_lsh_join) {
+    if (tiers.lsh_join) {
       return Fallback{JoinMethod::kLshEnsemble, request.union_method,
                       "join.lsh_ensemble", brownout_join_};
     }
@@ -653,95 +636,42 @@ void QueryService::ExecuteEngine(const QueryRequest& request,
   } else if (ctx.cluster != nullptr) {
     ExecuteCluster(request, join_method, union_method, cancel, response);
   } else {
+    const ingest::Generation& gen = *ctx.gen;
+    ingest::MergeStats merge;
+    approx::ApproxQueryStats approx_stats;
+    approx::ApproxQueryStats* approx_out =
+        join_method == JoinMethod::kApprox ? &approx_stats : nullptr;
+    auto take = [&](auto result, auto* out) {
+      response->status = result.status();
+      if (result.ok()) *out = std::move(result).value();
+    };
     switch (request.kind) {
       case QueryKind::kKeyword:
-        if (ctx.gen != nullptr) {
-          ingest::MergeStats merge;
-          response->tables = ingest::MergedKeyword(*ctx.gen, request.keyword,
-                                                   request.k, &merge);
-          RecordMergeStats(merge);
-        } else {
-          response->tables = ctx.engine->Keyword(request.keyword, request.k);
-        }
+        response->tables =
+            ingest::MergedKeyword(gen, request.keyword, request.k, &merge);
         break;
-      case QueryKind::kJoin: {
-        approx::ApproxQueryStats approx_stats;
-        approx::ApproxQueryStats* approx_out =
-            join_method == JoinMethod::kApprox ? &approx_stats : nullptr;
-        Result<std::vector<ColumnResult>> result = [&] {
-          if (ctx.gen != nullptr) {
-            ingest::MergeStats merge;
-            Result<std::vector<ColumnResult>> merged = ingest::MergedJoinable(
-                *ctx.gen, request.values, join_method, request.k, cancel,
-                &merge, request.error_budget, approx_out);
-            if (merged.ok()) RecordMergeStats(merge);
-            return merged;
-          }
-          return join_method == JoinMethod::kJosie &&
-                         ctx.engine->josie_join() != nullptr
-                     ? JosieWithStats(request, cancel, *ctx.engine)
-                     : ctx.engine->Joinable(request.values, join_method,
-                                            request.k, cancel,
-                                            request.error_budget, approx_out);
-        }();
-        if (result.ok()) {
-          response->columns = std::move(result).value();
-          if (approx_out != nullptr) RecordApproxStats(*approx_out);
-        } else {
-          response->status = result.status();
-        }
+      case QueryKind::kJoin:
+        take(ingest::MergedJoinable(gen, request.values, join_method,
+                                    request.k, cancel, &merge,
+                                    request.error_budget, approx_out),
+             &response->columns);
         break;
-      }
-      case QueryKind::kUnion: {
-        Result<std::vector<TableResult>> result = [&] {
-          if (ctx.gen != nullptr) {
-            ingest::MergeStats merge;
-            Result<std::vector<TableResult>> merged = ingest::MergedUnionable(
-                *ctx.gen, *request.union_table, union_method, request.k,
-                request.exclude, cancel, &merge);
-            if (merged.ok()) RecordMergeStats(merge);
-            return merged;
-          }
-          return ctx.engine->Unionable(*request.union_table, union_method,
-                                       request.k, request.exclude, cancel);
-        }();
-        if (result.ok()) {
-          response->tables = std::move(result).value();
-        } else {
-          response->status = result.status();
-        }
+      case QueryKind::kUnion:
+        take(ingest::MergedUnionable(gen, *request.union_table, union_method,
+                                     request.k, request.exclude, cancel,
+                                     &merge),
+             &response->tables);
         break;
-      }
-      case QueryKind::kCorrelated: {
-        // Correlated search has no delta memtable; it serves from the
-        // (possibly generation-pinned) base until compaction folds the
-        // delta in.
-        const CorrelatedJoinSearch* correlated = ctx.engine->correlated_join();
-        if (correlated == nullptr) {
-          response->status =
-              Status::FailedPrecondition("correlated index not built");
-          break;
-        }
-        Status check = cancel->Check();
-        if (!check.ok()) {
-          response->status = check;
-          break;
-        }
-        Result<std::vector<CorrelatedJoinSearch::CorrelatedResult>> result =
-            correlated->Search(request.values, request.numeric_values,
-                               request.k);
-        if (!result.ok()) {
-          response->status = result.status();
-          break;
-        }
-        for (const auto& r : result.value()) {
-          response->columns.push_back(ColumnResult{
-              ColumnRef{r.table_id, r.numeric_column}, r.score,
-              StrFormat("corr=%.3f containment=%.3f", r.est_correlation,
-                        r.est_containment)});
-        }
+      case QueryKind::kCorrelated:
+        take(ingest::MergedCorrelated(gen, request.values,
+                                      request.numeric_values, request.k,
+                                      cancel, &merge),
+             &response->columns);
         break;
-      }
+    }
+    if (response->status.ok()) {
+      RecordMergeStats(merge);
+      if (approx_out != nullptr) RecordApproxStats(*approx_out);
     }
   }
 
@@ -869,29 +799,18 @@ QueryResponse QueryService::Run(
         Status::Overloaded("shed at dequeue: queue sojourn over CoDel target");
   }
 
-  // Pin the engine snapshot for this query's whole execution BEFORE
-  // computing the cache key, so the key's version always matches the
-  // generation the results come from (a publish racing with this query
-  // can make us a stale-but-correctly-keyed entry, never a mismatched
-  // one).
-  ExecContext ctx;
-  uint64_t version = 0;
-  if (cluster_ != nullptr) {
-    // Cluster mode pins no single generation (each shard pins its own at
-    // scatter time); the cluster's topology/ingest version keys the cache
-    // so any ApplyBatch or rebalance routes around stale entries.
-    ctx.cluster = cluster_;
-    version = cluster_->version();
-  } else if (live_ != nullptr) {
-    ctx.gen = live_->Acquire();
-    ctx.engine = &ctx.gen->base();
-    version = ctx.gen->version();
-  } else {
-    ctx.engine = engine_;
-  }
+  // Pin the snapshot for this query's whole execution BEFORE computing
+  // the cache key, so the key's version always matches the generation the
+  // results come from (a publish racing with this query can make us a
+  // stale-but-correctly-keyed entry, never a mismatched one). Cluster mode
+  // pins no single generation (each shard pins its own at scatter time);
+  // the cluster's topology/ingest version keys the cache so any
+  // ApplyBatch or rebalance routes around stale entries.
+  const ExecContext ctx = Pin();
 
   const bool use_cache = options_.enable_cache && !request.bypass_cache;
-  const uint64_t key = use_cache ? CacheKeyWithVersion(request, version) : 0;
+  const uint64_t key =
+      use_cache ? CacheKeyWithVersion(request, ctx.version()) : 0;
 
   if (response.status.ok()) {
     // A query that spent its whole budget queued fails before touching the

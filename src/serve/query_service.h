@@ -28,7 +28,7 @@ class LiveEngine;
 
 namespace lake::serve {
 
-/// Query flavors the service multiplexes over one DiscoveryEngine.
+/// Query flavors the service multiplexes over its engine(s).
 enum class QueryKind {
   kKeyword,     // free-text metadata search
   kJoin,        // joinable-column search (request.join_method)
@@ -122,15 +122,21 @@ struct SubmittedQuery {
   std::shared_ptr<CancelToken> cancel;
 };
 
-/// The serving layer of Figure 1's discovery system: wraps a read-only
-/// DiscoveryEngine behind a thread-pool executor with adaptive admission
-/// control (AIMD concurrency limit + CoDel dequeue shedding, batch shed
-/// first), per-query deadlines with cooperative cancellation, a sharded
-/// LRU result cache keyed by canonical query hashes, per-modality circuit
-/// breakers with graceful brownout to the survey's cheap methods
-/// (Starmie -> TUS, JOSIE -> LSH Ensemble), and a MetricsRegistry every
-/// component reports into. The engine's indexes are immutable after
-/// construction, so worker threads query them concurrently without locks.
+/// The serving layer of Figure 1's discovery system: puts a lake behind a
+/// thread-pool executor with adaptive admission control (AIMD concurrency
+/// limit + CoDel dequeue shedding, batch shed first), per-query deadlines
+/// with cooperative cancellation, a sharded LRU result cache keyed by
+/// canonical query hashes, per-modality circuit breakers with graceful
+/// brownout to the survey's cheap methods (Starmie -> TUS, JOSIE ->
+/// approx / LSH Ensemble), and a MetricsRegistry every component reports
+/// into.
+///
+/// There are two read paths. Single-node queries run the ingest layer's
+/// base+delta merged queries over one pinned ingest::Generation: a frozen
+/// engine is served as a fixed generation with an empty delta, a live
+/// engine's current generation is acquired per query. Cluster queries
+/// scatter-gather through the ClusterEngine. Every generation is
+/// immutable, so worker threads query it concurrently without locks.
 class QueryService {
  public:
   struct Options {
@@ -177,14 +183,16 @@ class QueryService {
     store::RecoveryManager* recovery = nullptr;
   };
 
+  /// Serves a frozen engine (borrowed; must outlive the service), pinned
+  /// once as ingest::Generation::Frozen — an empty delta at version 0.
   QueryService(const DiscoveryEngine* engine, Options options);
 
   /// Serves a live (online-ingesting) engine instead of a frozen one:
-  /// every query acquires the current generation RCU-style and answers
-  /// keyword/join/union with base+delta merged top-k, so tables added
-  /// through the ingest pipeline are discoverable without a restart and
-  /// removed tables disappear immediately. Cache keys mix the generation's
-  /// publish version, so a publish logically invalidates stale entries.
+  /// every query acquires the current generation RCU-style, so tables
+  /// added through the ingest pipeline are discoverable without a restart
+  /// and removed tables disappear immediately from every query kind. Cache
+  /// keys mix the generation's publish version, so a publish logically
+  /// invalidates stale entries.
   QueryService(const ingest::LiveEngine* live, Options options);
 
   /// Serves a sharded cluster: queries scatter to every shard and gather
@@ -295,17 +303,25 @@ class QueryService {
   const Options& options() const { return options_; }
 
  private:
-  /// Engine snapshot one query executes against. In live mode `gen` pins
-  /// the acquired generation (RCU: the swapped-out state stays alive until
-  /// this query drains) and `engine` points at its base; in frozen mode
-  /// `gen` is null and `engine` is the constructor's engine; in cluster
-  /// mode `cluster` is set and `engine`/`gen` stay null (the cluster pins
-  /// per-shard generations internally).
+  /// The snapshot one query executes against — exactly one of the two
+  /// fields is set. `gen` pins a generation (RCU: a swapped-out live
+  /// generation stays alive until this query drains): the fixed frozen
+  /// one, or the live engine's current one. `cluster` is set instead in
+  /// cluster mode, which pins per-shard generations internally.
   struct ExecContext {
-    const DiscoveryEngine* engine = nullptr;
     std::shared_ptr<const ingest::Generation> gen;
     const cluster::ClusterEngine* cluster = nullptr;
+
+    /// Cache-key version: the generation's publish version (0 for a
+    /// frozen engine) or the cluster's mutation version.
+    uint64_t version() const;
   };
+
+  /// Shared by the public constructors, which then set the source.
+  explicit QueryService(Options options);
+
+  /// Pins the snapshot for one query (or one admission decision).
+  ExecContext Pin() const;
 
   QueryResponse Run(const QueryRequest& request, const CancelToken* cancel,
                     std::chrono::steady_clock::time_point admitted);
@@ -316,12 +332,12 @@ class QueryService {
   /// fallback), executes it, and feeds outcomes back into the breakers.
   void ExecutePlan(const QueryRequest& request, const ExecContext& ctx,
                    const CancelToken* cancel, QueryResponse* response);
-  /// Executes one concrete (kind, method) modality against the engine.
+  /// Executes one concrete (kind, method) modality against the snapshot.
   void ExecuteEngine(const QueryRequest& request, JoinMethod join_method,
                      UnionMethod union_method, const std::string& modality,
                      const ExecContext& ctx, const CancelToken* cancel,
                      QueryResponse* response);
-  /// The cheaper surveyed fallback for a modality, if the engine has it.
+  /// The cheaper surveyed fallback for a modality, if the snapshot has it.
   struct Fallback {
     JoinMethod join_method;
     UnionMethod union_method;
@@ -335,20 +351,22 @@ class QueryService {
   void ExecuteCluster(const QueryRequest& request, JoinMethod join_method,
                       UnionMethod union_method, const CancelToken* cancel,
                       QueryResponse* response);
-  /// JOSIE path with the engine hook: harvests the index's per-query work
-  /// counters (postings read) into the registry.
-  Result<std::vector<ColumnResult>> JosieWithStats(
-      const QueryRequest& request, const CancelToken* cancel,
-      const DiscoveryEngine& engine);
   void RecordMergeStats(const ingest::MergeStats& stats);
-  /// True when the served engine(s) built the approximate sample tier —
-  /// the admission-time gate for approx_ok routing.
-  bool ApproxAvailable() const;
+  /// The cheaper tiers a snapshot built. A cluster's shards are all built
+  /// with the same options, so its build flags answer; a generation's
+  /// base engine answers directly.
+  struct Tiers {
+    bool tus = false;
+    bool lsh_join = false;
+    bool approx_join = false;
+  };
+  static Tiers BuiltTiers(const ExecContext& ctx);
   /// Harvests one approximate query's work accounting into the approx.*
   /// metrics (estimates, fallback/interval decisions, widths, samples).
   void RecordApproxStats(const approx::ApproxQueryStats& stats);
 
-  const DiscoveryEngine* engine_;
+  /// The serving source: one of the three is set by the constructor.
+  std::shared_ptr<const ingest::Generation> frozen_;
   const ingest::LiveEngine* live_ = nullptr;
   const cluster::ClusterEngine* cluster_ = nullptr;
   Options options_;
@@ -386,7 +404,6 @@ class QueryService {
   GaugeFamily* breaker_state_gauges_;
   Counter* cache_hits_;
   Counter* cache_misses_;
-  Counter* josie_postings_read_;
   /// Approximate-tier accounting: queries served by join.approx, estimator
   /// invocations, and how each candidate was settled (interval vs exact
   /// fallback — the fallback rate is exact_fallbacks / decisions).
@@ -399,7 +416,8 @@ class QueryService {
   LatencyHistogram* approx_interval_width_;
   LatencyHistogram* approx_sample_size_;
   /// Merged-query provenance: results served from the immutable base vs
-  /// the ingest delta (live mode only; zero when serving a frozen engine).
+  /// the ingest delta (every base hit counts in single-node modes; delta
+  /// hits only arise in live mode).
   Counter* ingest_base_hits_;
   Counter* ingest_delta_hits_;
   LatencyHistogram* queue_wait_;

@@ -10,10 +10,10 @@
 #include <string>
 #include <vector>
 
+#include "approx_quality.h"
 #include "approx/approx_search.h"
 #include "approx/estimator.h"
 #include "approx/oracle.h"
-#include "approx/quality.h"
 #include "approx/verifier.h"
 #include "cluster/cluster_engine.h"
 #include "ingest/live_engine.h"

@@ -635,5 +635,76 @@ TEST_F(LiveEngineTest, QueryServiceServesLiveEngineAcrossMutations) {
   EXPECT_TRUE(ContainsTable(ur.tables, delta_id));
 }
 
+// Correlated search is base-only (the delta never builds it), but a
+// removed base table must still leave it at once, as it leaves every other
+// query kind — not only at the next compaction.
+TEST_F(LiveEngineTest, RemovedTableLeavesCorrelatedSearchImmediately) {
+  DiscoveryEngine::Options eopts = BaseOptions();
+  eopts.build_correlated = true;
+  LiveEngine::Options lopts = LiveOptions();
+  lopts.base_options = eopts;
+  LiveEngine live(*catalog_,
+                  std::make_shared<const DiscoveryEngine>(catalog_->get(),
+                                                          &lake_->kb, eopts),
+                  lopts);
+  serve::QueryService service(&live, serve::QueryService::Options{});
+
+  const Table& origin = base().table(0);
+  serve::QueryRequest corr;
+  corr.kind = serve::QueryKind::kCorrelated;
+  corr.k = 5;
+  for (size_t c = 0; c < origin.num_columns(); ++c) {
+    if (!origin.column(c).IsNumeric() && corr.values.empty()) {
+      corr.values = origin.column(c).NonNullStrings();
+    }
+    if (origin.column(c).IsNumeric() && corr.numeric_values.empty()) {
+      corr.numeric_values = origin.column(c).Numbers();
+    }
+  }
+  const size_t rows =
+      std::min(corr.values.size(), corr.numeric_values.size());
+  ASSERT_GT(rows, 0u);
+  corr.values.resize(rows);
+  corr.numeric_values.resize(rows);
+
+  const serve::QueryResponse before = service.Execute(corr);
+  ASSERT_TRUE(before.status.ok()) << before.status;
+  ASSERT_FALSE(before.columns.empty());
+  const TableId top = before.columns[0].column.table_id;
+  serve::QueryRequest wide_req = corr;
+  wide_req.k = 50;
+  const serve::QueryResponse wide = service.Execute(wide_req);
+  ASSERT_TRUE(wide.status.ok()) << wide.status;
+
+  ASSERT_TRUE(live.RemoveTable(base().table(top).name()).ok());
+  const serve::QueryResponse after = service.Execute(corr);
+  ASSERT_TRUE(after.status.ok()) << after.status;
+  EXPECT_FALSE(after.cache_hit);
+  EXPECT_FALSE(ContainsColumnOf(after.columns, top));
+
+  // The survivors keep their order: the removed table's hits are filtered
+  // out of a ranking that is otherwise unchanged.
+  std::vector<ColumnResult> survivors;
+  for (const ColumnResult& r : wide.columns) {
+    if (r.column.table_id != top) survivors.push_back(r);
+  }
+  ASSERT_FALSE(after.columns.empty());
+  ASSERT_LE(after.columns.size(), survivors.size());
+  for (size_t i = 0; i < after.columns.size(); ++i) {
+    EXPECT_TRUE(after.columns[i].column == survivors[i].column) << i;
+    EXPECT_EQ(after.columns[i].why, survivors[i].why) << i;
+  }
+
+  // A join on the same service agrees that the table is gone.
+  serve::QueryRequest join;
+  join.kind = serve::QueryKind::kJoin;
+  join.join_method = JoinMethod::kJosie;
+  join.values = corr.values;
+  join.k = 50;
+  const serve::QueryResponse jr = service.Execute(join);
+  ASSERT_TRUE(jr.status.ok()) << jr.status;
+  EXPECT_FALSE(ContainsColumnOf(jr.columns, top));
+}
+
 }  // namespace
 }  // namespace lake::ingest

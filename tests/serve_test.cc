@@ -1,5 +1,6 @@
 #include <chrono>
 #include <cmath>
+#include <cstring>
 #include <future>
 #include <limits>
 #include <memory>
@@ -14,6 +15,7 @@
 #include "serve/query_service.h"
 #include "serve/result_cache.h"
 #include "util/cancel.h"
+#include "util/string_util.h"
 
 namespace lake::serve {
 namespace {
@@ -357,7 +359,6 @@ class QueryServiceTest : public ::testing::Test {
     DiscoveryEngine::Options eopts;
     eopts.build_pexeso = false;
     eopts.build_mate = false;
-    eopts.build_tus = false;
     eopts.build_santos = false;
     eopts.build_d3l = false;
     eopts.synthesize_kb = false;
@@ -398,70 +399,132 @@ class QueryServiceTest : public ::testing::Test {
 GeneratedLake* QueryServiceTest::lake_ = nullptr;
 DiscoveryEngine* QueryServiceTest::engine_ = nullptr;
 
+TableId HitId(const TableResult& r) { return r.table_id; }
+ColumnRef HitId(const ColumnResult& r) { return r.column; }
+
+/// A served answer must be the direct engine call's answer, bit for bit:
+/// the same ids in the same order, the same score bits and the same `why`.
+template <typename R>
+void ExpectSameAnswer(const std::vector<R>& served,
+                      const std::vector<R>& direct, const std::string& label) {
+  ASSERT_EQ(served.size(), direct.size()) << label;
+  for (size_t i = 0; i < direct.size(); ++i) {
+    EXPECT_TRUE(HitId(served[i]) == HitId(direct[i])) << label << " #" << i;
+    EXPECT_EQ(std::memcmp(&served[i].score, &direct[i].score,
+                          sizeof(double)),
+              0)
+        << label << " #" << i << ": " << served[i].score << " vs "
+        << direct[i].score;
+    EXPECT_EQ(served[i].why, direct[i].why) << label << " #" << i;
+  }
+}
+
+constexpr size_t kParityKs[] = {1, 10, 50};
+
 TEST_F(QueryServiceTest, KeywordMatchesDirectEngineCall) {
   QueryService service(engine_, QueryService::Options{});
-  QueryRequest req;
-  req.kind = QueryKind::kKeyword;
-  req.keyword = lake_->topic_of[0];
-  req.k = 5;
-  const QueryResponse response = service.Execute(req);
-  ASSERT_TRUE(response.status.ok()) << response.status;
-  const std::vector<TableResult> direct =
-      engine_->Keyword(lake_->topic_of[0], 5);
-  ASSERT_EQ(response.tables.size(), direct.size());
-  for (size_t i = 0; i < direct.size(); ++i) {
-    EXPECT_EQ(response.tables[i].table_id, direct[i].table_id);
-    EXPECT_DOUBLE_EQ(response.tables[i].score, direct[i].score);
+  for (size_t k : kParityKs) {
+    QueryRequest req;
+    req.kind = QueryKind::kKeyword;
+    req.keyword = lake_->topic_of[0];
+    req.k = k;
+    const QueryResponse response = service.Execute(req);
+    ASSERT_TRUE(response.status.ok()) << response.status;
+    ExpectSameAnswer(response.tables, engine_->Keyword(req.keyword, k),
+                     "keyword k=" + std::to_string(k));
   }
 }
 
 TEST_F(QueryServiceTest, JoinMatchesDirectEngineCall) {
   QueryService service(engine_, QueryService::Options{});
-  const QueryResponse response = service.Execute(JoinRequest());
-  ASSERT_TRUE(response.status.ok()) << response.status;
-  const auto direct =
-      engine_->Joinable(JoinRequest().values, JoinMethod::kJosie, 5);
-  ASSERT_TRUE(direct.ok());
-  ASSERT_EQ(response.columns.size(), direct->size());
-  for (size_t i = 0; i < direct->size(); ++i) {
-    EXPECT_EQ(response.columns[i].column, (*direct)[i].column);
-    EXPECT_DOUBLE_EQ(response.columns[i].score, (*direct)[i].score);
+  size_t built = 0;
+  for (JoinMethod method :
+       {JoinMethod::kExactJaccard, JoinMethod::kExactContainment,
+        JoinMethod::kLshEnsemble, JoinMethod::kJosie, JoinMethod::kPexeso,
+        JoinMethod::kApprox}) {
+    if (!engine_->Joinable(JoinRequest().values, method, 1).ok()) continue;
+    ++built;
+    for (size_t k : kParityKs) {
+      QueryRequest req = JoinRequest();
+      req.join_method = method;
+      req.k = k;
+      const std::string label =
+          QueryService::ModalityName(req) + " k=" + std::to_string(k);
+      const QueryResponse response = service.Execute(req);
+      ASSERT_TRUE(response.status.ok()) << label << ": " << response.status;
+      EXPECT_FALSE(response.degraded) << label;
+      const auto direct = engine_->Joinable(req.values, method, k);
+      ASSERT_TRUE(direct.ok()) << label << ": " << direct.status();
+      ExpectSameAnswer(response.columns, *direct, label);
+    }
   }
+  EXPECT_EQ(built, 5u);  // every join method except the unbuilt PEXESO
 }
 
 TEST_F(QueryServiceTest, UnionExecutes) {
   QueryService service(engine_, QueryService::Options{});
-  const QueryResponse response = service.Execute(UnionRequest());
-  ASSERT_TRUE(response.status.ok()) << response.status;
-  EXPECT_FALSE(response.tables.empty());
-  for (const TableResult& t : response.tables) {
-    EXPECT_NE(t.table_id, 0u);  // exclude honored
+  for (UnionMethod method : {UnionMethod::kStarmie, UnionMethod::kTus}) {
+    for (size_t k : kParityKs) {
+      QueryRequest req = UnionRequest();
+      req.union_method = method;
+      req.k = k;
+      const std::string label =
+          QueryService::ModalityName(req) + " k=" + std::to_string(k);
+      const QueryResponse response = service.Execute(req);
+      ASSERT_TRUE(response.status.ok()) << label << ": " << response.status;
+      EXPECT_FALSE(response.tables.empty()) << label;
+      for (const TableResult& t : response.tables) {
+        EXPECT_NE(t.table_id, 0u) << label;  // exclude honored
+      }
+      const auto direct = engine_->Unionable(*req.union_table, method, k,
+                                             req.exclude);
+      ASSERT_TRUE(direct.ok()) << label << ": " << direct.status();
+      ExpectSameAnswer(response.tables, *direct, label);
+    }
   }
 }
 
 TEST_F(QueryServiceTest, CorrelatedExecutes) {
   QueryService service(engine_, QueryService::Options{});
+  const CorrelatedJoinSearch* correlated = engine_->correlated_join();
+  ASSERT_NE(correlated, nullptr);
   // Build a correlated query from a lake table: its first string column as
   // key, first numeric column as target.
   const Table& table = lake_->catalog.table(0);
-  QueryRequest req;
-  req.kind = QueryKind::kCorrelated;
-  req.k = 5;
+  QueryRequest base;
+  base.kind = QueryKind::kCorrelated;
   for (size_t c = 0; c < table.num_columns(); ++c) {
-    if (!table.column(c).IsNumeric() && req.values.empty()) {
-      req.values = table.column(c).NonNullStrings();
+    if (!table.column(c).IsNumeric() && base.values.empty()) {
+      base.values = table.column(c).NonNullStrings();
     }
-    if (table.column(c).IsNumeric() && req.numeric_values.empty()) {
-      req.numeric_values = table.column(c).Numbers();
+    if (table.column(c).IsNumeric() && base.numeric_values.empty()) {
+      base.numeric_values = table.column(c).Numbers();
     }
   }
-  ASSERT_FALSE(req.values.empty());
-  ASSERT_FALSE(req.numeric_values.empty());
-  const size_t rows = std::min(req.values.size(), req.numeric_values.size());
-  req.values.resize(rows);
-  req.numeric_values.resize(rows);
-  const QueryResponse response = service.Execute(req);
-  EXPECT_TRUE(response.status.ok()) << response.status;
+  ASSERT_FALSE(base.values.empty());
+  ASSERT_FALSE(base.numeric_values.empty());
+  const size_t rows =
+      std::min(base.values.size(), base.numeric_values.size());
+  base.values.resize(rows);
+  base.numeric_values.resize(rows);
+  for (size_t k : kParityKs) {
+    QueryRequest req = base;
+    req.k = k;
+    const std::string label = "correlated k=" + std::to_string(k);
+    const QueryResponse response = service.Execute(req);
+    ASSERT_TRUE(response.status.ok()) << label << ": " << response.status;
+    const auto raw = correlated->Search(req.values, req.numeric_values, k);
+    ASSERT_TRUE(raw.ok()) << label << ": " << raw.status();
+    std::vector<ColumnResult> direct;
+    for (const CorrelatedJoinSearch::CorrelatedResult& r : *raw) {
+      direct.push_back(ColumnResult{
+          ColumnRef{r.table_id, r.numeric_column}, r.score,
+          StrFormat("corr=%.3f containment=%.3f", r.est_correlation,
+                    r.est_containment)});
+    }
+    EXPECT_FALSE(direct.empty()) << label;
+    ExpectSameAnswer(response.columns, direct, label);
+  }
 }
 
 TEST_F(QueryServiceTest, SecondIdenticalQueryHitsCache) {

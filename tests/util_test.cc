@@ -5,6 +5,7 @@
 #include <cmath>
 #include <set>
 #include <sstream>
+#include <string_view>
 #include <thread>
 
 #include "util/backoff.h"
@@ -78,13 +79,17 @@ TEST(ResultTest, AssignOrReturnPropagates) {
 
 // --- Hash -----------------------------------------------------------------
 
+// A bare literal with a second argument binds to the (data, len) overload,
+// so the seeded calls spell out the string_view overload.
 TEST(HashTest, DeterministicAcrossCalls) {
   EXPECT_EQ(Hash64("hello"), Hash64("hello"));
-  EXPECT_EQ(Hash64("hello", 7), Hash64("hello", 7));
+  EXPECT_EQ(Hash64(std::string_view("hello"), 7),
+            Hash64(std::string_view("hello"), 7));
 }
 
 TEST(HashTest, SeedChangesValue) {
-  EXPECT_NE(Hash64("hello", 1), Hash64("hello", 2));
+  EXPECT_NE(Hash64(std::string_view("hello"), 1),
+            Hash64(std::string_view("hello"), 2));
 }
 
 TEST(HashTest, DifferentInputsRarelyCollide) {
