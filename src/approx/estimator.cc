@@ -4,6 +4,7 @@
 #include <cmath>
 
 #include "text/normalizer.h"
+#include "util/gallop.h"
 #include "util/hash.h"
 #include "util/random.h"
 
@@ -28,6 +29,7 @@ std::vector<uint64_t> HashValues(const std::vector<std::string>& values,
   for (const std::string& v : values) hashes.push_back(Hash64(v, seed));
   std::sort(hashes.begin(), hashes.end());
   hashes.erase(std::unique(hashes.begin(), hashes.end()), hashes.end());
+  hashes.shrink_to_fit();
   return hashes;
 }
 
@@ -42,23 +44,18 @@ double HoeffdingHalfWidth(size_t trials, double error_budget) {
 
 ApproxEstimator::ApproxEstimator(const DataLakeCatalog* catalog,
                                  Options options)
-    : catalog_(catalog), options_(options) {
+    : options_(options) {
   if (options_.max_sample == 0) options_.max_sample = 1;
   // Determinism contract: the sampling seed is a forked seeded stream, so
   // every random choice in this subsystem traces back to Options::seed.
   hash_seed_ = Rng(options_.seed).Fork("approx.sample").Next();
-  catalog_->ForEachColumn([&](const ColumnRef& ref, const Column& col) {
+  catalog->ForEachColumn([&](const ColumnRef& ref, const Column& col) {
     if (!options_.include_numeric && col.IsNumeric()) return;
     std::vector<uint64_t> hashes =
         HashValues(NormalizedDistinct(col), hash_seed_);
     if (hashes.size() < options_.min_distinct) return;
     refs_.push_back(ref);
-    cardinalities_.push_back(hashes.size());
-    if (hashes.size() > options_.max_sample) {
-      hashes.resize(options_.max_sample);  // bottom-k: smallest hashes
-    }
-    hashes.shrink_to_fit();
-    samples_.push_back(std::move(hashes));
+    hashes_.push_back(std::move(hashes));
   });
 }
 
@@ -77,9 +74,11 @@ IntervalEstimate ApproxEstimator::EstimateContainment(
     const HashedSet& query, size_t index, size_t sample_size,
     double error_budget) const {
   IntervalEstimate est;
-  const std::vector<uint64_t>& sample = samples_[index];
+  const std::vector<uint64_t>& column = hashes_[index];
   const std::vector<uint64_t>& q = query.hashes();
-  const size_t s = std::min(std::max<size_t>(sample_size, 1), sample.size());
+  // The stored sample is the bottom-max_sample prefix of the column.
+  const size_t sample_len = std::min(options_.max_sample, column.size());
+  const size_t s = std::min(std::max<size_t>(sample_size, 1), sample_len);
   est.sample_size = s;
   if (q.empty()) {
     // Empty query: containment is 0 by the engines' convention.
@@ -91,21 +90,12 @@ IntervalEstimate ApproxEstimator::EstimateContainment(
   // The sample is the whole column when the column has <= max_sample
   // distinct values — membership is then known for every query hash and
   // the answer is exact, not probabilistic.
-  if (sample.size() == cardinalities_[index] && s == sample.size()) {
-    // Probe the smaller side into the larger: the lake's long tail of tiny
-    // columns must cost O(|column| log |query|), not O(|query|), or the
-    // screening pass over every column re-inherits the exact scan's cost.
-    size_t matches = 0;
-    if (sample.size() < q.size()) {
-      for (uint64_t h : sample) {
-        if (std::binary_search(q.begin(), q.end(), h)) ++matches;
-      }
-    } else {
-      for (uint64_t h : q) {
-        if (std::binary_search(sample.begin(), sample.end(), h)) ++matches;
-      }
-    }
-    est.point = static_cast<double>(matches) / static_cast<double>(q.size());
+  if (s == column.size()) {
+    // The count gallops the smaller side through the larger, so the lake's
+    // long tail of tiny columns costs O(|column| log |query|), not
+    // O(|query|), and the screening pass does not re-inherit the exact
+    // scan's cost.
+    est.point = ExactContainment(query, index);
     est.lo = est.hi = est.point;
     est.trials = q.size();
     est.exact = true;
@@ -116,7 +106,7 @@ IntervalEstimate ApproxEstimator::EstimateContainment(
   // column hash). The column's hashes below tau are precisely the sample
   // prefix below tau; query hashes below tau are a uniform subsample of
   // the query.
-  const uint64_t tau = sample[s - 1];
+  const uint64_t tau = column[s - 1];
   const auto q_end = std::lower_bound(q.begin(), q.end(), tau);
   const size_t trials = static_cast<size_t>(q_end - q.begin());
   est.trials = trials;
@@ -129,12 +119,9 @@ IntervalEstimate ApproxEstimator::EstimateContainment(
     est.hi = 1;
     return est;
   }
-  size_t matches = 0;
-  auto it = sample.begin();
-  for (auto qi = q.begin(); qi != q_end; ++qi) {
-    it = std::lower_bound(it, sample.end(), *qi);
-    if (it != sample.end() && *it == *qi) ++matches;
-  }
+  const size_t matches = SortedIntersectionSize(q.begin(), q_end,
+                                                column.begin(),
+                                                column.begin() + s);
   est.point = static_cast<double>(matches) / static_cast<double>(trials);
   const double hw = HoeffdingHalfWidth(trials, error_budget);
   est.lo = std::max(0.0, est.point - hw);
@@ -158,24 +145,11 @@ IntervalEstimate ApproxEstimator::EstimateOverlap(const HashedSet& query,
 double ApproxEstimator::ExactContainment(const HashedSet& query,
                                          size_t index) const {
   if (query.empty()) return 0;
-  const ColumnRef& ref = refs_[index];
-  const Column& col = catalog_->table(ref.table_id).column(ref.column_index);
-  // One streaming pass over the column: hash each value and mark which
-  // query hashes it covers. No column-side sort or hash-vector build —
-  // the fallback's cost is what bounds the approximate tier's worst case,
-  // so it stays O(|column| * (normalize + hash + log |query|)).
-  const std::vector<uint64_t>& qh = query.hashes();  // sorted, deduplicated
-  std::vector<char> matched(qh.size(), 0);
-  for (const std::string& v : col.DistinctStrings()) {
-    const std::string norm = NormalizeValue(v);
-    if (norm.empty()) continue;
-    const uint64_t h = Hash64(norm, hash_seed_);
-    const auto it = std::lower_bound(qh.begin(), qh.end(), h);
-    if (it != qh.end() && *it == h) matched[it - qh.begin()] = 1;
-  }
-  size_t matches = 0;
-  for (char m : matched) matches += m;
-  return static_cast<double>(matches) / static_cast<double>(qh.size());
+  const std::vector<uint64_t>& q = query.hashes();
+  const std::vector<uint64_t>& column = hashes_[index];
+  const size_t matches =
+      SortedIntersectionSize(q.begin(), q.end(), column.begin(), column.end());
+  return static_cast<double>(matches) / static_cast<double>(q.size());
 }
 
 }  // namespace lake::approx

@@ -44,10 +44,12 @@ struct IntervalEstimate {
 /// wide once and consumed as prefixes).
 ///
 /// Sampling model: every value is hashed with one shared seeded hash; a
-/// column keeps its `max_sample` smallest distinct hashes. The bottom-s
-/// prefix of that sample is itself the bottom-s sketch, so one stored
-/// sample serves every requested resolution — this is what makes the
+/// column's sample is its `max_sample` smallest distinct hashes. The
+/// bottom-s prefix of that sample is itself the bottom-s sketch, so one
+/// stored sample serves every requested resolution — this is what makes the
 /// adaptive verifier's progressive doubling free of re-sampling passes.
+/// The estimator keeps each column's whole sorted hash vector (the sample
+/// is its prefix), so exact fallback never goes back to the catalog.
 /// For a sample prefix of size s with s-th smallest hash tau, the column's
 /// hash set below tau is known *exactly*; query hashes below tau are a
 /// uniform random subsample of the query (hashes are uniform), so the
@@ -95,25 +97,25 @@ class ApproxEstimator {
                                    size_t sample_size,
                                    double error_budget) const;
 
-  /// Exact containment of the query in column `index`, recomputed from the
-  /// catalog (the verifier's fallback: O(column) instead of O(sample)).
+  /// Exact containment of the query in column `index` (the verifier's
+  /// fallback): a galloping intersection count against the column's full
+  /// hash vector, O(|Q| log |C|) for the usual |Q| <= |C|.
   double ExactContainment(const HashedSet& query, size_t index) const;
 
   size_t num_indexed_columns() const { return refs_.size(); }
   const std::vector<ColumnRef>& indexed_columns() const { return refs_; }
   /// Exact distinct count of column `index` (profiled at build).
-  size_t cardinality(size_t index) const { return cardinalities_[index]; }
+  size_t cardinality(size_t index) const { return hashes_[index].size(); }
   const Options& options() const { return options_; }
   uint64_t hash_seed() const { return hash_seed_; }
 
  private:
-  const DataLakeCatalog* catalog_;
   Options options_;
   uint64_t hash_seed_;
   std::vector<ColumnRef> refs_;
-  /// Ascending bottom-max_sample distinct hashes per column.
-  std::vector<std::vector<uint64_t>> samples_;
-  std::vector<size_t> cardinalities_;
+  /// Ascending distinct hashes per column; the bottom-max_sample prefix is
+  /// the sample.
+  std::vector<std::vector<uint64_t>> hashes_;
 };
 
 /// Hoeffding half-width for `trials` Bernoulli trials at confidence

@@ -54,7 +54,7 @@ Result<Verdict> AdaptiveVerifier::VerifyContainment(
     s = std::min(options_.max_sample, s * 2);
   }
   // Interval-settled (or unsettled with fallback disabled): either way the
-  // decision came without touching the catalog.
+  // decision came from the sample prefix alone.
   if (!verdict.estimate.Straddles(threshold)) {
     verdict.accepted = verdict.estimate.lo >= threshold;
   } else {

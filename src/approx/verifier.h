@@ -79,7 +79,7 @@ class AdaptiveVerifier {
     double error_budget = 0.1;
     /// Allow exact fallback; when false a straddling interval returns an
     /// unsettled verdict (accepted = point >= threshold, exact = false)
-    /// rather than touching the catalog — bench-only escape hatch.
+    /// rather than computing the exact value — bench-only escape hatch.
     bool exact_fallback = true;
   };
 

@@ -2,10 +2,10 @@
 
 #include <algorithm>
 #include <sstream>
-#include <unordered_map>
 
 #include "store/snapshot.h"
 #include "text/normalizer.h"
+#include "util/gallop.h"
 #include "util/serialize.h"
 #include "util/top_k.h"
 
@@ -77,9 +77,16 @@ Result<std::vector<JosieIndex::Hit>> JosieIndex::TopK(
   const std::vector<uint32_t> q = QueryRanks(query_values);
   // partial[s]: exact overlap among query tokens read so far.
   // last_pos[s]: the set position of the last matched token (for the
-  // position filter).
-  std::unordered_map<uint32_t, uint32_t> partial;
-  std::unordered_map<uint32_t, uint32_t> last_pos;
+  // position filter). Dense per set; `touched` lists the sets with
+  // partial[s] > 0 in first-seen order.
+  std::vector<uint32_t> partial(sets_.size(), 0);
+  std::vector<uint32_t> last_pos(sets_.size(), 0);
+  std::vector<uint32_t> touched;
+  // at_least[c]: number of candidates whose partial count is >= c. Counts
+  // only ever grow by 1, so the k-th largest partial count (`kth_partial`,
+  // 0 while fewer than k candidates are seen) only ever advances.
+  std::vector<uint32_t> at_least(q.size() + 1, 0);
+  uint32_t kth_partial = 0;
 
   ::lake::TopK<uint32_t> heap(k);  // holds set indices scored by exact overlap
 
@@ -88,79 +95,57 @@ Result<std::vector<JosieIndex::Hit>> JosieIndex::TopK(
   // once the number of unread lists (the max overlap of any *unseen* set)
   // cannot exceed it, no new candidate can enter the top-k and reading
   // stops (prefix filter). Seen candidates are finished by verification.
-  std::vector<uint32_t> scratch;
   size_t read = 0;
   for (; read < q.size(); ++read) {
     if (cancel != nullptr && ShouldCheck(read, 16)) {
       LAKE_RETURN_IF_ERROR(cancel->Check());
     }
-    const size_t unseen_max = q.size() - read;
-    if (partial.size() >= k) {
-      scratch.clear();
-      scratch.reserve(partial.size());
-      for (const auto& [s, count] : partial) scratch.push_back(count);
-      std::nth_element(scratch.begin(), scratch.begin() + (k - 1),
-                       scratch.end(), std::greater<uint32_t>());
-      const uint32_t kth_partial = scratch[k - 1];
-      if (unseen_max <= kth_partial) break;
-    }
+    if (q.size() - read <= kth_partial) break;
     const auto& list = postings_[q[read]];
     ++local.lists_read;
     local.posting_entries_read += list.size();
     for (const Posting& p : list) {
-      auto [it, fresh] = partial.try_emplace(p.set_index, 0);
-      if (fresh) ++local.candidates_seen;
-      ++it->second;
+      const uint32_t count = ++partial[p.set_index];
+      if (count == 1) touched.push_back(p.set_index);
       last_pos[p.set_index] = p.position;
+      if (++at_least[count] >= k && count > kth_partial) kth_partial = count;
     }
   }
+  local.candidates_seen = touched.size();
 
   if (read == q.size()) {
-    // All lists read: partial counts are exact overlaps.
-    for (const auto& [s, count] : partial) {
-      heap.Push(static_cast<double>(count), s);
-    }
+    // All lists read: partial counts are exact overlaps. Pushing in set
+    // order breaks ties at rank k the way TopKBruteForce does.
+    std::sort(touched.begin(), touched.end());
+    for (uint32_t s : touched) heap.Push(static_cast<double>(partial[s]), s);
   } else {
     // Position-filter verification for every seen candidate: bound the
     // remaining overlap by both the unread query suffix and the candidate's
     // own suffix beyond its last matched position.
-    // First seed the heap with candidates that cannot grow (cheap wins).
-    const size_t q_remaining = q.size() - read;
-    std::vector<std::pair<uint32_t, uint32_t>> pending;  // (set, partial)
-    pending.reserve(partial.size());
-    for (const auto& [s, count] : partial) pending.push_back({s, count});
     // Process most-promising first so the heap threshold rises quickly.
-    std::sort(pending.begin(), pending.end(),
-              [](const auto& a, const auto& b) {
-                if (a.second != b.second) return a.second > b.second;
-                return a.first < b.first;
-              });
+    const size_t q_remaining = q.size() - read;
+    std::sort(touched.begin(), touched.end(), [&](uint32_t a, uint32_t b) {
+      if (partial[a] != partial[b]) return partial[a] > partial[b];
+      return a < b;
+    });
     size_t processed = 0;
-    for (const auto& [s, count] : pending) {
+    for (uint32_t s : touched) {
       if (cancel != nullptr && ShouldCheck(processed++, 64)) {
         LAKE_RETURN_IF_ERROR(cancel->Check());
       }
       const std::vector<uint32_t>& set = sets_[s];
-      const size_t set_remaining = set.size() - (last_pos.at(s) + 1);
+      const uint32_t count = partial[s];
+      const size_t set_remaining = set.size() - (last_pos[s] + 1);
       const double upper =
           static_cast<double>(count) +
           static_cast<double>(std::min(q_remaining, set_remaining));
       if (heap.Full() && upper <= heap.Threshold(0.0)) continue;
       ++local.candidates_verified;
-      // Exact suffix merge: unread query ranks vs the set's ranks.
-      uint32_t extra = 0;
-      size_t i = read, j = 0;
-      while (i < q.size() && j < set.size()) {
-        if (q[i] == set[j]) {
-          ++extra;
-          ++i;
-          ++j;
-        } else if (q[i] < set[j]) {
-          ++i;
-        } else {
-          ++j;
-        }
-      }
+      // Unread query ranks all exceed the set's last matched rank, so only
+      // the set's suffix past last_pos can hold them.
+      const size_t extra = SortedIntersectionSize(
+          q.begin() + read, q.end(), set.begin() + (last_pos[s] + 1),
+          set.end());
       heap.Push(static_cast<double>(count + extra), s);
     }
   }

@@ -22,11 +22,14 @@ namespace lake {
 /// prune most. The query algorithm reads posting lists in that order,
 /// maintaining exact partial overlaps for seen candidates, and stops
 /// reading new lists once the number of unread query tokens cannot lift an
-/// unseen set above the current k-th overlap (prefix filter). Remaining
-/// candidates are bounded with the position filter
+/// unseen set above the current k-th overlap (prefix filter). Partial
+/// counts live in dense per-set arrays, and the k-th largest one is kept
+/// incrementally from a count histogram. Remaining candidates are bounded
+/// with the position filter
 ///     ub(S) = partial + min(|Q|-i, |S|-pos(S))
-/// and only survivors are verified by merging list suffixes. Results are
-/// exact; the filters only save work.
+/// and only survivors are verified, by galloping the unread query ranks
+/// through the set's suffix past pos(S). Results are exact; the filters
+/// only save work.
 class JosieIndex {
  public:
   struct Hit {
@@ -50,8 +53,11 @@ class JosieIndex {
   /// Freezes the index: fixes the global token order and builds postings.
   Status Build();
 
-  /// Exact top-k by overlap (descending; ties by insertion order). Sets
-  /// with zero overlap are never returned. `stats` is optional. `cancel`
+  /// Exact top-k by overlap, descending. Sets with zero overlap are never
+  /// returned. Ties: when every query list was read, the lower set index
+  /// (AddSet order) wins, as in TopKBruteForce; when the prefix filter
+  /// stopped early, ties go to the earlier-verified candidate (partial
+  /// count descending, then set index). `stats` is optional. `cancel`
   /// is polled between posting lists and along the verification loop;
   /// expiry unwinds with kDeadlineExceeded / kCancelled.
   Result<std::vector<Hit>> TopK(const std::vector<std::string>& query_values,

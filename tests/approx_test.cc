@@ -6,7 +6,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cinttypes>
+#include <cstdio>
+#include <cstring>
 #include <set>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -83,6 +87,81 @@ DataLakeCatalog SkewedLake(SkewedSetsWorkload* workload) {
     LAKE_CHECK(cat.AddTable(std::move(t)).ok());
   }
   return cat;
+}
+
+/// The join-skewed recipe: 400 power-law sets of 8..4096 values (about a
+/// fifth above the default 1024-hash sample width) and 64-value queries
+/// drawn mostly from one host set.
+DataLakeCatalog PowerLawLake(SkewedSetsWorkload* workload) {
+  SkewedSetsOptions opts;
+  opts.num_queries = 30;
+  *workload = MakeSkewedSetsWorkload(opts);
+  DataLakeCatalog cat;
+  for (size_t s = 0; s < workload->sets.size(); ++s) {
+    Table t("set" + std::to_string(s));
+    LAKE_CHECK(t.AddColumn(MakeColumn("values", workload->sets[s])).ok());
+    LAKE_CHECK(cat.AddTable(std::move(t)).ok());
+  }
+  return cat;
+}
+
+/// Columns below, at and above a 64-hash sample width, values that only
+/// normalize together (case, whitespace), values that normalize to empty,
+/// a column that is ineligible after normalization, and a numeric column
+/// with a null cell.
+DataLakeCatalog EdgeLake() {
+  std::vector<std::string> at_after_normalizing = Values(100, 164);
+  for (size_t i = 100; i < 110; ++i) {
+    at_after_normalizing.push_back(" V" + std::to_string(i) + "\t");
+  }
+  DataLakeCatalog cat = OneColumnLake({
+      {"below", Values(0, 40)},
+      {"at", Values(20, 84)},
+      {"above", Values(0, 300)},
+      {"at_after_normalizing", at_after_normalizing},
+      {"variants",
+       {"Apple", " apple ", "APPLE", "Banana", "banana\t", "Cherry  Pie",
+        "cherry pie", "V5", " v6 "}},
+      {"empties", {"", "   ", "\t", "v7", "V8 ", "kiwi"}},
+      {"one_value", {"only", " ONLY "}},
+  });
+  std::vector<Value> cells;
+  for (int64_t i = 0; i < 100; ++i) cells.emplace_back(i);
+  cells.emplace_back(int64_t{7});
+  cells.emplace_back();  // null: not a value
+  Table numeric("numeric");
+  LAKE_CHECK(
+      numeric.AddColumn(Column("n", DataType::kInt, std::move(cells))).ok());
+  LAKE_CHECK(cat.AddTable(std::move(numeric)).ok());
+  return cat;
+}
+
+/// Differential check: the estimator's exact containment (and distinct
+/// count) of every query in every indexed column equals the string-set
+/// oracle's, and exhaustive samples estimate exactly that value.
+void ExpectExactMatchesOracle(
+    const DataLakeCatalog& cat, const ApproxEstimator::Options& opts,
+    const std::vector<std::vector<std::string>>& queries) {
+  ApproxEstimator est(&cat, opts);
+  DiscoveryOracle oracle(&cat);
+  ASSERT_EQ(est.indexed_columns(), oracle.indexed_columns());
+  for (size_t i = 0; i < est.num_indexed_columns(); ++i) {
+    EXPECT_EQ(est.cardinality(i), oracle.cardinality(i)) << "column " << i;
+  }
+  for (size_t q = 0; q < queries.size(); ++q) {
+    const HashedSet query = est.QuerySet(queries[q]);
+    for (size_t i = 0; i < est.num_indexed_columns(); ++i) {
+      const double exact = est.ExactContainment(query, i);
+      EXPECT_EQ(exact, oracle.ContainmentOf(queries[q], i))
+          << "query " << q << " column " << i;
+      if (est.cardinality(i) <= opts.max_sample) {
+        const IntervalEstimate e =
+            est.EstimateContainment(query, i, opts.max_sample, 0.1);
+        EXPECT_TRUE(e.exact);
+        EXPECT_EQ(e.point, exact) << "query " << q << " column " << i;
+      }
+    }
+  }
 }
 
 // --- Hoeffding bound ------------------------------------------------------
@@ -191,6 +270,44 @@ TEST(ApproxEstimatorTest, EmptyQueryIsExactZero) {
   const IntervalEstimate e = est.EstimateContainment(query, 0, 64, 0.1);
   EXPECT_TRUE(e.exact);
   EXPECT_EQ(e.point, 0.0);
+}
+
+TEST(ApproxEstimatorTest, ExactContainmentMatchesOracleOnEdgeColumns) {
+  DataLakeCatalog cat = EdgeLake();
+  ApproxEstimator::Options opts;
+  opts.max_sample = 64;
+  {
+    // The lake really spans the sample width, and normalization decides
+    // eligibility: "one_value" has two raw values but one normalized.
+    ApproxEstimator est(&cat, opts);
+    std::set<size_t> sizes;
+    for (size_t i = 0; i < est.num_indexed_columns(); ++i) {
+      sizes.insert(est.cardinality(i));
+      EXPECT_NE(cat.table(est.indexed_columns()[i].table_id).name(),
+                "one_value");
+    }
+    EXPECT_TRUE(sizes.count(40) && sizes.count(64) && sizes.count(300));
+  }
+  std::vector<std::vector<std::string>> queries = {
+      Values(0, 50),
+      Values(250, 320),
+      {"apple", "BANANA ", "kiwi", "V7", "v8", "0", "99", "100", "v299",
+       "V300", "cherry   pie"},
+      {"", "  ", "\t"},
+      {},
+  };
+  std::vector<std::string> mixed = Values(30, 90);
+  for (const char* v : {"APPLE", "", " V101 ", "42", "7", "v163"}) {
+    mixed.push_back(v);
+  }
+  queries.push_back(mixed);
+  ExpectExactMatchesOracle(cat, opts, queries);
+}
+
+TEST(ApproxEstimatorTest, ExactContainmentMatchesOracleOnPowerLawLake) {
+  SkewedSetsWorkload w;
+  DataLakeCatalog cat = PowerLawLake(&w);
+  ExpectExactMatchesOracle(cat, ApproxEstimator::Options{}, w.queries);
 }
 
 // --- AdaptiveVerifier -----------------------------------------------------
@@ -392,6 +509,90 @@ TEST(ApproxJoinSearchTest, SearchIsDeterministic) {
       EXPECT_EQ(ra[i].why, rb[i].why);
     }
   }
+}
+
+std::string Bits(double d) {
+  uint64_t bits;
+  std::memcpy(&bits, &d, sizeof(bits));
+  char buf[24];
+  std::snprintf(buf, sizeof(buf), "%016" PRIx64, bits);
+  return buf;
+}
+
+// Answers and work on the join-skewed shape are pinned bit for bit: ids,
+// score bits, `why` strings and every ApproxQueryStats field. Exact
+// fallback and interval estimation may change cost, never answers.
+TEST(ApproxJoinSearchTest, GoldenAnswersOnPowerLawLake) {
+  SkewedSetsWorkload w;
+  DataLakeCatalog cat = PowerLawLake(&w);
+  ApproxJoinSearch search(&cat);
+  std::ostringstream got;
+  for (size_t q = 0; q < 4; ++q) {
+    ApproxQueryStats st;
+    const std::vector<ColumnResult> results =
+        search.Search(w.queries[q], 10, /*error_budget=*/-1, &st).value();
+    for (const ColumnResult& r : results) {
+      got << "q" << q << " t" << r.column.table_id << "."
+          << r.column.column_index << " " << Bits(r.score) << " " << r.why
+          << "\n";
+    }
+    got << "q" << q << " estimates=" << st.estimates
+        << " fallbacks=" << st.exact_fallbacks
+        << " intervals=" << st.interval_decisions << " rounds=" << st.rounds
+        << " sum_width=" << Bits(st.sum_width)
+        << " max_width=" << Bits(st.max_width)
+        << " sum_sample=" << st.sum_sample_size << "\n";
+  }
+  const char* const kGolden =
+      "q0 t218.0 3fe8000000000000 containment=0.750 (exact)\n"
+      "q0 t328.0 3fe3b13b13b13b14 ~containment=0.615 ci=[0.276,0.955] n=1024\n"
+      "q0 t100.0 3fd3b13b13b13b14 ~containment=0.308 ci=[0.000,0.647] n=1024\n"
+      "q0 t286.0 3fd3b13b13b13b14 ~containment=0.308 ci=[0.000,0.647] n=1024\n"
+      "q0 t5.0 3fd2d2d2d2d2d2d3 ~containment=0.294 ci=[0.000,0.591] n=1024\n"
+      "q0 t86.0 3fd0b21642c8590b ~containment=0.261 ci=[0.006,0.516] n=1024\n"
+      "q0 t264.0 3fd0000000000000 ~containment=0.250 ci=[0.000,0.603] n=1024\n"
+      "q0 t146.0 3fce79e79e79e79e ~containment=0.238 ci=[0.000,0.505] n=1024\n"
+      "q0 t155.0 3fcd89d89d89d89e ~containment=0.231 ci=[0.000,0.570] n=1024\n"
+      "q0 t377.0 3fcd89d89d89d89e ~containment=0.231 ci=[0.000,0.570] n=1024\n"
+      "q0 estimates=716 fallbacks=0 intervals=80 rounds=5 "
+      "sum_width=403adae70e440483 max_width=3fe5b96878abc53e sum_sample=79737\n"
+      "q1 t382.0 3fe8000000000000 containment=0.750 (exact)\n"
+      "q1 t328.0 3fde50d79435e50d ~containment=0.474 ci=[0.193,0.754] n=1024\n"
+      "q1 t8.0 3fd4b4b4b4b4b4b5 ~containment=0.324 ci=[0.114,0.533] n=1024\n"
+      "q1 t155.0 3fd435e50d79435e ~containment=0.316 ci=[0.035,0.597] n=1024\n"
+      "q1 t5.0 3fd1eb851eb851ec ~containment=0.280 ci=[0.035,0.525] n=1024\n"
+      "q1 t100.0 3fd0000000000000 containment=0.250 (exact)\n"
+      "q1 t264.0 3fd0000000000000 containment=0.250 (exact)\n"
+      "q1 t59.0 3fce000000000000 containment=0.234 (exact)\n"
+      "q1 t43.0 3fca000000000000 containment=0.203 (exact)\n"
+      "q1 t61.0 3fca000000000000 containment=0.203 (exact)\n"
+      "q1 estimates=717 fallbacks=67 intervals=12 rounds=5 "
+      "sum_width=4000426eb9d395b1 max_width=3fe1f83b22ae3ba8 sum_sample=78501\n"
+      "q2 t78.0 3fe8000000000000 containment=0.750 (exact)\n"
+      "q2 t10.0 3fd1a7b9611a7b96 ~containment=0.276 ci=[0.049,0.503] n=1024\n"
+      "q2 t255.0 3fd13b13b13b13b1 ~containment=0.269 ci=[0.029,0.509] n=1024\n"
+      "q2 t100.0 3fd0000000000000 containment=0.250 (exact)\n"
+      "q2 t155.0 3fce000000000000 containment=0.234 (exact)\n"
+      "q2 t216.0 3fce000000000000 containment=0.234 (exact)\n"
+      "q2 t152.0 3fca000000000000 containment=0.203 (exact)\n"
+      "q2 t273.0 3fca000000000000 containment=0.203 (exact)\n"
+      "q2 t61.0 3fc8000000000000 containment=0.188 (exact)\n"
+      "q2 t68.0 3fc8000000000000 containment=0.188 (exact)\n"
+      "q2 estimates=720 fallbacks=69 intervals=11 rounds=5 "
+      "sum_width=3fede80fc08ee531 max_width=3fdeb904ccb5476a sum_sample=79825\n"
+      "q3 t328.0 3fe71c71c71c71c7 ~containment=0.722 ci=[0.434,1.000] n=1024\n"
+      "q3 t155.0 3fd1000000000000 containment=0.266 (exact)\n"
+      "q3 t240.0 3fce000000000000 containment=0.234 (exact)\n"
+      "q3 t264.0 3fce000000000000 containment=0.234 (exact)\n"
+      "q3 t5.0 3fcc000000000000 containment=0.219 (exact)\n"
+      "q3 t216.0 3fcc000000000000 containment=0.219 (exact)\n"
+      "q3 t302.0 3fcc000000000000 containment=0.219 (exact)\n"
+      "q3 t152.0 3fca000000000000 containment=0.203 (exact)\n"
+      "q3 t61.0 3fc8000000000000 containment=0.188 (exact)\n"
+      "q3 t281.0 3fc8000000000000 containment=0.188 (exact)\n"
+      "q3 estimates=718 fallbacks=66 intervals=13 rounds=5 "
+      "sum_width=3fe21eb31826b716 max_width=3fe21eb31826b716 sum_sample=77212\n";
+  EXPECT_EQ(got.str(), kGolden);
 }
 
 // --- DiscoveryOracle ------------------------------------------------------
