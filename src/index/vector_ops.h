@@ -30,12 +30,18 @@ inline double L2DistanceSquared(const Vector& a, const Vector& b) {
   return s;
 }
 
-/// Cosine similarity in [-1, 1]; 0 when either vector is zero.
-inline double CosineSimilarity(const Vector& a, const Vector& b) {
-  const double na = Norm(a);
-  const double nb = Norm(b);
+/// Cosine of `a` and `b` from their precomputed norms `na` = Norm(a) and
+/// `nb` = Norm(b): bit-identical to CosineSimilarity(a, b), for callers
+/// that score one vector against many and compute each norm once.
+inline double CosineWithNorms(const Vector& a, double na, const Vector& b,
+                              double nb) {
   if (na <= 0 || nb <= 0) return 0.0;
   return Dot(a, b) / (na * nb);
+}
+
+/// Cosine similarity in [-1, 1]; 0 when either vector is zero.
+inline double CosineSimilarity(const Vector& a, const Vector& b) {
+  return CosineWithNorms(a, Norm(a), b, Norm(b));
 }
 
 /// Scales to unit norm in place (no-op for the zero vector).

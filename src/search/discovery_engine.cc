@@ -227,7 +227,7 @@ Result<std::vector<TableResult>> DiscoveryEngine::Unionable(
       if (tus_ == nullptr) {
         return Status::FailedPrecondition("TUS engine not built");
       }
-      return tus_->Search(query, k, exclude);
+      return tus_->Search(query, k, exclude, cancel);
     case UnionMethod::kSantos:
       if (santos_ == nullptr) {
         return Status::FailedPrecondition("SANTOS engine not built");

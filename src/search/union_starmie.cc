@@ -4,6 +4,7 @@
 #include <sstream>
 #include <unordered_set>
 
+#include "index/vector_ops.h"
 #include "search/bipartite_matching.h"
 #include "util/logging.h"
 #include "util/serialize.h"
@@ -36,6 +37,7 @@ StarmieUnionSearch::StarmieUnionSearch(const DataLakeCatalog* catalog,
         LAKE_CHECK(flat_.Insert(idx, vecs[c]).ok());
       }
       vectors_.push_back(vecs[c]);
+      norms_.push_back(Norm(vecs[c]));
     }
   }
 }
@@ -82,6 +84,7 @@ Result<std::unique_ptr<StarmieUnionSearch>> StarmieUnionSearch::FromSnapshot(
   LAKE_ASSIGN_OR_RETURN(uint64_t num_refs, r.ReadVarint());
   search->refs_.reserve(num_refs);
   search->vectors_.reserve(num_refs);
+  search->norms_.reserve(num_refs);
   for (uint64_t i = 0; i < num_refs; ++i) {
     LAKE_ASSIGN_OR_RETURN(uint64_t table_id, r.ReadVarint());
     LAKE_ASSIGN_OR_RETURN(uint64_t column, r.ReadVarint());
@@ -99,6 +102,7 @@ Result<std::unique_ptr<StarmieUnionSearch>> StarmieUnionSearch::FromSnapshot(
     if (vec.size() != encoder->dim()) {
       return Status::IoError("starmie snapshot embedding dimension mismatch");
     }
+    search->norms_.push_back(Norm(vec));
     search->vectors_.push_back(std::move(vec));
   }
   LAKE_RETURN_IF_ERROR(search->hnsw_.Load(&in));
@@ -111,15 +115,26 @@ Result<std::unique_ptr<StarmieUnionSearch>> StarmieUnionSearch::FromSnapshot(
   return search;
 }
 
-double StarmieUnionSearch::ScorePrepared(const std::vector<Vector>& query_vecs,
-                                         TableId t) const {
+namespace {
+std::vector<double> Norms(const std::vector<Vector>& vecs) {
+  std::vector<double> out;
+  out.reserve(vecs.size());
+  for (const Vector& v : vecs) out.push_back(Norm(v));
+  return out;
+}
+}  // namespace
+
+double StarmieUnionSearch::ScorePrepared(
+    const std::vector<Vector>& query_vecs,
+    const std::vector<double>& query_norms, TableId t) const {
   const std::vector<uint32_t>& cand = table_columns_[t];
   if (query_vecs.empty() || cand.empty()) return 0.0;
   std::vector<std::vector<double>> weights(
       query_vecs.size(), std::vector<double>(cand.size(), 0.0));
   for (size_t i = 0; i < query_vecs.size(); ++i) {
     for (size_t j = 0; j < cand.size(); ++j) {
-      const double cos = CosineSimilarity(query_vecs[i], vectors_[cand[j]]);
+      const double cos = CosineWithNorms(query_vecs[i], query_norms[i],
+                                         vectors_[cand[j]], norms_[cand[j]]);
       weights[i][j] = cos >= options_.min_cosine ? cos : 0.0;
     }
   }
@@ -129,7 +144,8 @@ double StarmieUnionSearch::ScorePrepared(const std::vector<Vector>& query_vecs,
 
 double StarmieUnionSearch::ScoreTable(const Table& query,
                                       TableId candidate) const {
-  return ScorePrepared(encoder_->EncodeTable(query), candidate);
+  const std::vector<Vector> query_vecs = encoder_->EncodeTable(query);
+  return ScorePrepared(query_vecs, Norms(query_vecs), candidate);
 }
 
 Result<std::vector<TableResult>> StarmieUnionSearch::Search(
@@ -157,6 +173,7 @@ Result<std::vector<TableResult>> StarmieUnionSearch::Search(
   std::vector<TableId> ordered(tables.begin(), tables.end());
   std::sort(ordered.begin(), ordered.end());
 
+  const std::vector<double> query_norms = Norms(query_vecs);
   TopK<TableId> heap(k);
   size_t verified = 0;
   for (TableId t : ordered) {
@@ -164,7 +181,7 @@ Result<std::vector<TableResult>> StarmieUnionSearch::Search(
       LAKE_RETURN_IF_ERROR(cancel->Check());
     }
     if (exclude >= 0 && t == static_cast<TableId>(exclude)) continue;
-    const double score = ScorePrepared(query_vecs, t);
+    const double score = ScorePrepared(query_vecs, query_norms, t);
     if (score > 0) heap.Push(score, t);
   }
   std::vector<TableResult> out;

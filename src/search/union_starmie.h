@@ -81,7 +81,9 @@ class StarmieUnionSearch {
                      const ContextualColumnEncoder* encoder, Options options,
                      DeferBuildTag);
 
+  /// `query_norms[i]` is Norm(query_vecs[i]), computed once per query.
   double ScorePrepared(const std::vector<Vector>& query_vecs,
+                       const std::vector<double>& query_norms,
                        TableId t) const;
 
   const DataLakeCatalog* catalog_;
@@ -89,6 +91,7 @@ class StarmieUnionSearch {
   Options options_;
   std::vector<ColumnRef> refs_;
   std::vector<Vector> vectors_;                      // per dense column
+  std::vector<double> norms_;  // Norm(vectors_[i]); derived, not persisted
   std::vector<std::vector<uint32_t>> table_columns_; // table -> dense cols
   HnswIndex hnsw_;
   FlatVectorIndex flat_;

@@ -3,8 +3,11 @@
 #include <algorithm>
 #include <unordered_set>
 
+#include "index/vector_ops.h"
 #include "search/bipartite_matching.h"
+#include "sketch/set_ops.h"
 #include "text/normalizer.h"
+#include "util/gallop.h"
 #include "util/logging.h"
 #include "util/string_util.h"
 #include "util/top_k.h"
@@ -36,13 +39,18 @@ TusUnionSearch::TusUnionSearch(const DataLakeCatalog* catalog,
         return o;
       }()) {
   table_columns_.resize(catalog_->num_tables());
+  std::vector<std::vector<uint64_t>> column_hashes;  // by column index
   catalog_->ForEachColumn([&](const ColumnRef& ref, const Column& col) {
     ColumnInfo info;
     info.ref = ref;
     const std::vector<std::string> values =
         SampledValues(col, options_.max_values);
-    info.set = HashedSet::FromValues(values);
+    if (options_.use_set_measure) {
+      column_hashes.push_back(HashedSet::FromValues(values).hashes());
+      info.set_size = column_hashes.back().size();
+    }
     info.embedding = encoder_->Encode(col);
+    info.norm = Norm(info.embedding);
     if (kb_ != nullptr && options_.use_semantic_measure && !values.empty()) {
       auto vote = kb_->ColumnType(values);
       if (vote.ok()) {
@@ -57,6 +65,40 @@ TusUnionSearch::TusUnionSearch(const DataLakeCatalog* catalog,
     }
     columns_.push_back(std::move(info));
   });
+  if (options_.use_set_measure) BuildValueIndex(std::move(column_hashes));
+}
+
+void TusUnionSearch::BuildValueIndex(
+    std::vector<std::vector<uint64_t>> column_hashes) {
+  size_t total = 0;
+  for (const std::vector<uint64_t>& hashes : column_hashes) {
+    total += hashes.size();
+  }
+  keys_.reserve(total);
+  for (const std::vector<uint64_t>& hashes : column_hashes) {
+    keys_.insert(keys_.end(), hashes.begin(), hashes.end());
+  }
+  std::sort(keys_.begin(), keys_.end());
+  keys_.erase(std::unique(keys_.begin(), keys_.end()), keys_.end());
+  keys_.shrink_to_fit();
+
+  // Counting sort of the (key, column) postings: replace each hash by its
+  // key index while counting list lengths, then place columns in
+  // ascending order.
+  offsets_.assign(keys_.size() + 1, 0);
+  for (std::vector<uint64_t>& hashes : column_hashes) {
+    for (uint64_t& h : hashes) {
+      h = static_cast<uint64_t>(
+          std::lower_bound(keys_.begin(), keys_.end(), h) - keys_.begin());
+      ++offsets_[h + 1];
+    }
+  }
+  for (size_t i = 1; i < offsets_.size(); ++i) offsets_[i] += offsets_[i - 1];
+  std::vector<uint32_t> next(offsets_.begin(), offsets_.end() - 1);
+  postings_.resize(total);
+  for (uint32_t col = 0; col < column_hashes.size(); ++col) {
+    for (uint64_t key : column_hashes[col]) postings_[next[key]++] = col;
+  }
 }
 
 std::vector<TusUnionSearch::QueryColumn> TusUnionSearch::PrepareQuery(
@@ -67,8 +109,26 @@ std::vector<TusUnionSearch::QueryColumn> TusUnionSearch::PrepareQuery(
     QueryColumn q;
     const std::vector<std::string> values =
         SampledValues(query.column(c), options_.max_values);
-    q.set = HashedSet::FromValues(values);
+    if (options_.use_set_measure) {
+      // ScanCount: each distinct query hash bumps the overlap of every lake
+      // column in its posting list. The hashes are ascending, so the key
+      // lookup gallops forward from the previous hit.
+      const HashedSet set = HashedSet::FromValues(values);
+      q.set_size = set.size();
+      q.overlap.assign(columns_.size(), 0);
+      auto key = keys_.begin();
+      for (uint64_t h : set.hashes()) {
+        key = Gallop(key, keys_.end(), h);
+        if (key == keys_.end()) break;
+        if (*key != h) continue;
+        const size_t i = static_cast<size_t>(key - keys_.begin());
+        for (uint32_t p = offsets_[i]; p < offsets_[i + 1]; ++p) {
+          ++q.overlap[postings_[p]];
+        }
+      }
+    }
     q.embedding = encoder_->Encode(query.column(c));
+    q.norm = Norm(q.embedding);
     if (kb_ != nullptr && options_.use_semantic_measure && !values.empty()) {
       auto vote = kb_->ColumnType(values);
       if (vote.ok()) {
@@ -82,10 +142,18 @@ std::vector<TusUnionSearch::QueryColumn> TusUnionSearch::PrepareQuery(
 }
 
 double TusUnionSearch::AttributeScore(const QueryColumn& q,
-                                      const ColumnInfo& c) const {
+                                      uint32_t col) const {
+  const ColumnInfo& c = columns_[col];
   double score = 0;
   if (options_.use_set_measure) {
-    score = std::max(score, q.set.Jaccard(c.set));
+    // Jaccard |A∩B| / |A∪B|; 1.0 when both sets are empty.
+    double jaccard = 1.0;
+    if (q.set_size != 0 || c.set_size != 0) {
+      const size_t inter = q.overlap[col];
+      const size_t uni = q.set_size + c.set_size - inter;
+      jaccard = uni == 0 ? 0.0 : static_cast<double>(inter) / uni;
+    }
+    score = std::max(score, jaccard);
   }
   if (options_.use_semantic_measure && !q.kb_type.empty() &&
       q.kb_type == c.kb_type) {
@@ -94,7 +162,8 @@ double TusUnionSearch::AttributeScore(const QueryColumn& q,
   if (options_.use_nl_measure) {
     // Cosine in [-1,1] mapped to [0,1]; squashing keeps weak similarity
     // from dominating strong set evidence.
-    const double cos = CosineSimilarity(q.embedding, c.embedding);
+    const double cos =
+        CosineWithNorms(q.embedding, q.norm, c.embedding, c.norm);
     score = std::max(score, std::max(0.0, cos) * std::max(0.0, cos));
   }
   return score < options_.min_attribute_score ? 0.0 : score;
@@ -108,7 +177,7 @@ double TusUnionSearch::ScorePrepared(const std::vector<QueryColumn>& q,
       q.size(), std::vector<double>(cand_cols.size(), 0.0));
   for (size_t i = 0; i < q.size(); ++i) {
     for (size_t j = 0; j < cand_cols.size(); ++j) {
-      weights[i][j] = AttributeScore(q[i], columns_[cand_cols[j]]);
+      weights[i][j] = AttributeScore(q[i], cand_cols[j]);
     }
   }
   const MatchingResult match = MaxWeightBipartiteMatching(weights);
@@ -119,9 +188,10 @@ double TusUnionSearch::ScoreTable(const Table& query, TableId candidate) const {
   return ScorePrepared(PrepareQuery(query), candidate);
 }
 
-Result<std::vector<TableResult>> TusUnionSearch::Search(const Table& query,
-                                                        size_t k,
-                                                        int64_t exclude) const {
+Result<std::vector<TableResult>> TusUnionSearch::Search(
+    const Table& query, size_t k, int64_t exclude,
+    const CancelToken* cancel) const {
+  if (cancel != nullptr) LAKE_RETURN_IF_ERROR(cancel->Check());
   const std::vector<QueryColumn> q = PrepareQuery(query);
   if (q.empty()) return std::vector<TableResult>{};
 
@@ -142,7 +212,11 @@ Result<std::vector<TableResult>> TusUnionSearch::Search(const Table& query,
   }
 
   TopK<TableId> heap(k);
+  size_t verified = 0;
   for (TableId t : candidates) {
+    if (cancel != nullptr && ShouldCheck(verified++, 8)) {
+      LAKE_RETURN_IF_ERROR(cancel->Check());
+    }
     if (exclude >= 0 && t == static_cast<TableId>(exclude)) continue;
     const double score = ScorePrepared(q, t);
     if (score > 0) heap.Push(score, t);

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <bit>
 #include <cstring>
+#include <string_view>
 
 namespace lake::serve {
 
@@ -13,26 +14,48 @@ namespace {
 constexpr size_t kEntryOverheadBytes = 96;
 
 // Packed layout: varint counts of tables, columns, table_names and shards,
-// then each table as (varint id, double score, varint why length, why
-// bytes), each column as (varint table id, varint column index, double
-// score, varint why length, why bytes), each name as (varint length,
-// bytes), each shard as a varint. One schema serves both sinks below.
+// then each table as (varint id, double score, why), each column as
+// (varint table id, varint column index, double score, why), each name as
+// a string, each shard as a varint. A string is (varint length, bytes).
+// A why is front-coded against the previous why of the same list: varint
+// length of the prefix it shares with it, then the rest as a string. The
+// whys of one answer mostly differ only in their digits ("starmie
+// contextual score=0.713", "...=0.555"), so this stores each prefix once.
+// One schema serves both sinks below.
+size_t SharedPrefix(std::string_view a, std::string_view b) {
+  const size_t n = std::min(a.size(), b.size());
+  size_t i = 0;
+  while (i < n && a[i] == b[i]) ++i;
+  return i;
+}
+
+template <typename Sink>
+void EncodeWhy(std::string_view prev, std::string_view why, Sink& out) {
+  const size_t shared = SharedPrefix(prev, why);
+  out.Varint(shared);
+  out.String(why.substr(shared));
+}
+
 template <typename Sink>
 void Encode(const CachedResult& v, Sink& out) {
   out.Varint(v.tables.size());
   out.Varint(v.columns.size());
   out.Varint(v.table_names.size());
   out.Varint(v.shards.size());
+  std::string_view prev;
   for (const TableResult& t : v.tables) {
     out.Varint(t.table_id);
     out.Double(t.score);
-    out.String(t.why);
+    EncodeWhy(prev, t.why, out);
+    prev = t.why;
   }
+  prev = {};
   for (const ColumnResult& c : v.columns) {
     out.Varint(c.column.table_id);
     out.Varint(c.column.column_index);
     out.Double(c.score);
-    out.String(c.why);
+    EncodeWhy(prev, c.why, out);
+    prev = c.why;
   }
   for (const std::string& n : v.table_names) out.String(n);
   for (uint32_t s : v.shards) out.Varint(s);
@@ -47,7 +70,7 @@ struct SizeSink {
     } while (v != 0);
   }
   void Double(double) { bytes += sizeof(double); }
-  void String(const std::string& s) {
+  void String(std::string_view s) {
     Varint(s.size());
     bytes += s.size();
   }
@@ -66,7 +89,7 @@ struct WriteSink {
     std::memcpy(p, &v, sizeof(v));
     p += sizeof(v);
   }
-  void String(const std::string& s) {
+  void String(std::string_view s) {
     Varint(s.size());
     std::memcpy(p, s.data(), s.size());
     p += s.size();
@@ -103,6 +126,16 @@ struct Reader {
     p += n;
     return s;
   }
+  // A front-coded why (see Encode), given the previous why of its list.
+  std::string Why(std::string_view prev) {
+    const size_t shared = Varint();
+    const size_t n = Varint();
+    std::string s;
+    s.reserve(shared + n);
+    s.append(prev.substr(0, shared)).append(p, n);
+    p += n;
+    return s;
+  }
 };
 
 void Unpack(const char* packed, CachedResult* out) {
@@ -111,16 +144,20 @@ void Unpack(const char* packed, CachedResult* out) {
   out->columns.resize(in.Varint());
   out->table_names.resize(in.Varint());
   out->shards.resize(in.Varint());
+  std::string_view prev;
   for (TableResult& t : out->tables) {
     t.table_id = static_cast<TableId>(in.Varint());
     t.score = in.Double();
-    t.why = in.String();
+    t.why = in.Why(prev);
+    prev = t.why;
   }
+  prev = {};
   for (ColumnResult& c : out->columns) {
     c.column.table_id = static_cast<TableId>(in.Varint());
     c.column.column_index = static_cast<uint32_t>(in.Varint());
     c.score = in.Double();
-    c.why = in.String();
+    c.why = in.Why(prev);
+    prev = c.why;
   }
   for (std::string& n : out->table_names) n = in.String();
   for (uint32_t& s : out->shards) s = static_cast<uint32_t>(in.Varint());

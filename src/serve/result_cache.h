@@ -39,9 +39,11 @@ struct CachedResult {
 /// aggregated across shards.
 ///
 /// Each value is stored packed into one heap block (ids, scores and `why`
-/// strings back to back) and unpacked on Lookup, which copies out anyway:
-/// a resident entry costs one allocation instead of a vector plus one per
-/// explanation string, and the byte bound counts the packed size.
+/// strings back to back, each `why` front-coded against the one before it)
+/// and unpacked on Lookup, which copies out anyway: a resident entry costs
+/// one allocation instead of a vector plus one per explanation string, an
+/// answer's shared explanation prefix is stored once, and the byte bound
+/// counts the packed size.
 class ResultCache {
  public:
   struct Options {

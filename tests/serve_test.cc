@@ -306,6 +306,38 @@ TEST(ResultCacheTest, PackedEntriesRoundTripEveryField) {
   }
 }
 
+TEST(ResultCacheTest, FrontCodedWhysRoundTripAndShareTheirPrefix) {
+  ResultCache cache(ResultCache::Options{1, 1 << 20});
+  // Shared prefixes of every length: identical, extended, cut back to a
+  // prefix of the previous, empty in between, and nothing shared.
+  const std::vector<std::string> whys = {
+      "starmie contextual score=0.713", "starmie contextual score=0.713",
+      "starmie contextual score=0.7134", "starmie contextual", "",
+      "starmie contextual score=0.555", "tus unionability=0.667", "t"};
+  CachedResult value;
+  for (size_t i = 0; i < whys.size(); ++i) {
+    value.tables.push_back(
+        TableResult{static_cast<TableId>(i), 0.5 + static_cast<double>(i),
+                    whys[i]});
+    value.columns.push_back(ColumnResult{
+        ColumnRef{static_cast<TableId>(i), 1}, 1.0, whys[whys.size() - 1 - i]});
+  }
+  cache.Insert(1, value);
+  CachedResult out;
+  ASSERT_TRUE(cache.Lookup(1, &out));
+  ExpectSameResult(out, value);
+
+  // Ten answers that differ only in their score digits pack into about
+  // one explanation plus a few bytes per hit.
+  CachedResult union_answer;
+  for (int i = 0; i < 10; ++i) {
+    union_answer.tables.push_back(TableResult{
+        static_cast<TableId>(i), 0.7,
+        "starmie contextual score=0.7" + std::to_string(10 + i)});
+  }
+  EXPECT_LT(union_answer.ApproxBytes(), 96u + 30u + 10u * (2u + 8u + 4u));
+}
+
 TEST(ResultCacheTest, ByteBoundCountsPackedSize) {
   // A 300-byte explanation costs about 300 packed bytes, not a separate
   // heap block plus vector and node headers on top of it.
