@@ -21,8 +21,10 @@
 // containment reaches the true k-th best.
 //
 // Sweep: lakes of {200, 800, 3200} background columns x error budgets
-// {0.05, 0.1, 0.2}, plus one exact kExactContainment baseline row per
-// lake. Rows are RESULT_JSON with p50/p95 latency, recall@k, and the
+// {0.05, 0.1, 0.2}, plus two exact rows per lake: the kExactContainment
+// scan the acceptance gate compares against, and JOSIE (exact top-k
+// overlap, the best exact method), reported beside it and not gated.
+// Rows are RESULT_JSON with p50/p95 latency, recall@k, and the
 // exact-fallback rate.
 
 #include <algorithm>
@@ -157,13 +159,13 @@ DataLakeCatalog BuildCatalog(const PlantedWorkload& workload) {
   return catalog;
 }
 
-/// Exact join tier and the sampling tier only; the heavyweight long tail
-/// would dominate build time without touching either measured path.
+/// Exact join tiers (scan and JOSIE) and the sampling tier only; the
+/// heavyweight long tail would dominate build time without touching any
+/// measured path.
 DiscoveryEngine::Options LeanOptions() {
   DiscoveryEngine::Options opts;
   opts.build_keyword = false;
   opts.build_lsh_join = false;
-  opts.build_josie = false;
   opts.build_pexeso = false;
   opts.build_mate = false;
   opts.build_correlated = false;
@@ -280,6 +282,17 @@ int main() {
                   "\"recall_at_k\":%.4f",
                   workload.sets.size(), exact.latency.p50_us,
                   exact.latency.p95_us, exact_recall));
+
+    const ModeResult josie = RunMode(engine, workload, JoinMethod::kJosie, -1);
+    const double josie_recall = MeanRecall(workload, josie.tables);
+    std::printf("  josie: p50 %.0fus p95 %.0fus recall %.3f\n",
+                josie.latency.p50_us, josie.latency.p95_us, josie_recall);
+    lake::bench::PrintJsonLine(
+        "E22:bench_approx:josie",
+        StrFormat("\"lake_sets\":%zu,\"p50_us\":%.1f,\"p95_us\":%.1f,"
+                  "\"recall_at_k\":%.4f",
+                  workload.sets.size(), josie.latency.p50_us,
+                  josie.latency.p95_us, josie_recall));
 
     for (double budget : budgets) {
       const ModeResult approx =

@@ -8,7 +8,10 @@
 //   tables                     list tables
 //   show <table>               preview a table
 //   keyword <text...>          BM25 metadata search
-//   join <table> <column>      joinable-column search (auto-planned)
+//   join [<method>] <table> <column...>
+//                              joinable-column search (exact_jaccard|
+//                              exact_containment|lsh_ensemble|josie|
+//                              pexeso|approx; default josie)
 //   union <method> <table>     unionable search (tus|santos|starmie|d3l)
 //   annotate <table> <column>  query-time semantic type annotation
 //   related <table>            linkage-graph neighbors
@@ -20,6 +23,7 @@
 #include <iostream>
 #include <sstream>
 #include <string>
+#include <utility>
 
 #include "lakegen/benchmark_lakes.h"
 #include "nav/linkage_graph.h"
@@ -36,8 +40,27 @@ void PrintHelp() {
   std::printf(
       "commands:\n"
       "  info | tables | show <table> | keyword <text...>\n"
-      "  join <table> <column> | union <method> <table>\n"
+      "  join [<method>] <table> <column> | union <method> <table>\n"
       "  annotate <table> <column> | related <table> | help | quit\n");
+}
+
+/// Join method by its serving-layer name; false when `name` is none.
+bool ParseJoinMethod(const std::string& name, lake::JoinMethod* method) {
+  static const std::pair<const char*, lake::JoinMethod> kMethods[] = {
+      {"exact_jaccard", lake::JoinMethod::kExactJaccard},
+      {"exact_containment", lake::JoinMethod::kExactContainment},
+      {"lsh_ensemble", lake::JoinMethod::kLshEnsemble},
+      {"josie", lake::JoinMethod::kJosie},
+      {"pexeso", lake::JoinMethod::kPexeso},
+      {"approx", lake::JoinMethod::kApprox},
+  };
+  for (const auto& [n, m] : kMethods) {
+    if (name == n) {
+      *method = m;
+      return true;
+    }
+  }
+  return false;
 }
 
 int FindColumn(const lake::Table& table, const std::string& name) {
@@ -118,8 +141,13 @@ int main(int argc, char** argv) {
                     r.score);
       }
     } else if (cmd == "join") {
+      // The method is optional; the column is the rest of the line, so
+      // names with spaces work.
       std::string tname, cname;
-      in >> tname >> cname;
+      in >> tname;
+      lake::JoinMethod method = lake::JoinMethod::kJosie;
+      if (ParseJoinMethod(tname, &method)) in >> tname;
+      std::getline(in >> std::ws, cname);
       auto id = catalog.FindTable(tname);
       if (!id.ok()) {
         std::printf("%s\n", id.status().ToString().c_str());
@@ -128,15 +156,13 @@ int main(int argc, char** argv) {
       const lake::Table& table = catalog.table(*id);
       const int col = FindColumn(table, cname);
       if (col < 0) continue;
-      auto result =
-          engine.JoinableAuto(table.column(col).DistinctStrings(), 8);
-      if (!result.ok()) {
-        std::printf("%s\n", result.status().ToString().c_str());
+      auto results =
+          engine.Joinable(table.column(col).DistinctStrings(), method, 8);
+      if (!results.ok()) {
+        std::printf("%s\n", results.status().ToString().c_str());
         continue;
       }
-      std::printf("(planner chose method %d)\n",
-                  static_cast<int>(result->method));
-      for (const auto& r : result->results) {
+      for (const auto& r : *results) {
         const lake::Table& hit = catalog.table(r.column.table_id);
         std::printf("  %-28s . %-16s %s\n", hit.name().c_str(),
                     hit.column(r.column.column_index).name().c_str(),

@@ -46,7 +46,6 @@ ApproxJoinSearch::ApproxJoinSearch(const DataLakeCatalog* catalog,
   options_.max_sample =
       std::max(options_.min_sample,
                std::min(options_.max_sample, estimator_.options().max_sample));
-  if (options_.candidate_factor == 0) options_.candidate_factor = 1;
   if (!(options_.error_budget > 0) || options_.error_budget >= 1) {
     options_.error_budget = 0.1;
   }
@@ -87,7 +86,7 @@ Result<std::vector<ColumnResult>> ApproxJoinSearch::Search(
   // have almost no trials yet (point 0, hi near 1), and it is exactly the
   // candidate that could still be in the top-k — evicting by point would
   // silently drop it (and with it the screening-pass recall guarantee).
-  const size_t cap = std::max(k, k * options_.candidate_factor);
+  const size_t cap = k * kCandidateFactor;
   auto prune = [&](double boundary) {
     if (boundary > 0) {
       cands.erase(std::remove_if(cands.begin(), cands.end(),

@@ -22,10 +22,13 @@ namespace lake::approx {
 ///   1. Screen every column at `min_sample` resolution (one cheap interval
 ///      each).
 ///   2. Keep the candidates whose upper bound reaches the running k-th
-///      best lower bound — no column that could be in the top-k is ever
-///      dropped (with per-interval probability >= 1 - error_budget).
+///      best lower bound, at most `k * kCandidateFactor` of them: when
+///      more intervals reach the boundary, the highest upper bounds stay
+///      and the rest are dropped even though they could be in the top-k.
+///      Below the cap, no such column is dropped (with per-interval
+///      probability >= 1 - error_budget).
 ///   3. Double surviving candidates' sample sizes in rounds, re-tightening
-///      the boundary each time.
+///      the boundary and re-applying the cap each time.
 ///   4. Candidates whose interval still straddles the final top-k boundary
 ///      at the widest sample are settled by exact verification (the
 ///      subsystem invariant: no straddling interval ever decides).
@@ -35,6 +38,11 @@ namespace lake::approx {
 /// distinguishable from exact ones downstream.
 class ApproxJoinSearch {
  public:
+  /// Refinement-pool cap as a multiple of k: keeps pathological lakes —
+  /// every column similar — from degrading to a full exact scan, at the
+  /// price of recall when more than that many columns stay in contention.
+  static constexpr size_t kCandidateFactor = 8;
+
   struct Options {
     ApproxEstimator::Options estimator;
     /// Screening resolution (pass 1) and the doubling ceiling; the
@@ -43,9 +51,6 @@ class ApproxJoinSearch {
     size_t max_sample = 1024;
     /// Default per-estimate error budget when the caller passes none.
     double error_budget = 0.1;
-    /// Refinement-pool cap as a multiple of k (keeps pathological lakes —
-    /// every column similar — from degrading to a full exact scan).
-    size_t candidate_factor = 8;
   };
 
   explicit ApproxJoinSearch(const DataLakeCatalog* catalog)

@@ -129,19 +129,6 @@ IntervalEstimate ApproxEstimator::EstimateContainment(
   return est;
 }
 
-IntervalEstimate ApproxEstimator::EstimateOverlap(const HashedSet& query,
-                                                  size_t index,
-                                                  size_t sample_size,
-                                                  double error_budget) const {
-  IntervalEstimate est =
-      EstimateContainment(query, index, sample_size, error_budget);
-  const double scale = static_cast<double>(query.size());
-  est.point *= scale;
-  est.lo *= scale;
-  est.hi *= scale;
-  return est;
-}
-
 double ApproxEstimator::ExactContainment(const HashedSet& query,
                                          size_t index) const {
   if (query.empty()) return 0;

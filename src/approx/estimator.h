@@ -91,12 +91,6 @@ class ApproxEstimator {
                                        size_t sample_size,
                                        double error_budget) const;
 
-  /// Overlap |Q ∩ C| (JOSIE's ranking function; also the join size over
-  /// distinct keys): the containment interval scaled by |Q|.
-  IntervalEstimate EstimateOverlap(const HashedSet& query, size_t index,
-                                   size_t sample_size,
-                                   double error_budget) const;
-
   /// Exact containment of the query in column `index` (the verifier's
   /// fallback): a galloping intersection count against the column's full
   /// hash vector, O(|Q| log |C|) for the usual |Q| <= |C|.

@@ -38,7 +38,6 @@ class HashRing {
   /// Removes a shard's virtual nodes. Removing an absent shard is a no-op.
   void RemoveShard(uint32_t shard);
 
-  bool HasShard(uint32_t shard) const { return shards_.count(shard) != 0; }
   size_t num_shards() const { return shards_.size(); }
 
   /// Sorted shard ids.

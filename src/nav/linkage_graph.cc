@@ -10,18 +10,6 @@
 
 namespace lake {
 
-const char* LinkTypeToString(LinkType type) {
-  switch (type) {
-    case LinkType::kContentSimilarity:
-      return "content";
-    case LinkType::kSchemaSimilarity:
-      return "schema";
-    case LinkType::kPkFkCandidate:
-      return "pk-fk";
-  }
-  return "?";
-}
-
 void LinkageGraph::AddLink(const ColumnRef& a, const ColumnRef& b,
                            LinkType type, double weight) {
   const uint32_t idx = static_cast<uint32_t>(links_.size());

@@ -18,8 +18,6 @@ enum class LinkType {
   kPkFkCandidate,      // inclusion dependency with key-like left side
 };
 
-const char* LinkTypeToString(LinkType type);
-
 /// One edge of the linkage graph.
 struct Link {
   ColumnRef from;

@@ -57,8 +57,6 @@ class LakeOrganization {
   std::string ToString(size_t max_depth = 3) const;
 
  private:
-  int Flatten(int binary_node, std::vector<Node>& flat) const;
-
   const DataLakeCatalog* catalog_;
   Options options_;
   std::vector<Node> nodes_;

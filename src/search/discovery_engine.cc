@@ -121,29 +121,6 @@ Status DiscoveryEngine::LoadIndexSection(const std::string& name,
   return Status::NotFound("unknown index section: " + name);
 }
 
-Result<DiscoveryEngine::AutoJoinResult> DiscoveryEngine::JoinableAuto(
-    const std::vector<std::string>& query_values, size_t k) const {
-  // Cheap statistics-driven plan selection. Thresholds are deliberately
-  // coarse: the point is the *mechanism* (adapting the access method to
-  // the data distribution), which §3 calls out as an open direction.
-  const size_t lake_columns = catalog_->num_columns();
-  JoinMethod method;
-  if (exact_join_ != nullptr && lake_columns <= 2048) {
-    method = JoinMethod::kExactContainment;  // scans win on small lakes
-  } else if (josie_ != nullptr) {
-    method = JoinMethod::kJosie;  // exact, with filter pruning
-  } else if (lsh_join_ != nullptr) {
-    method = JoinMethod::kLshEnsemble;  // sketches at scale
-  } else if (exact_join_ != nullptr) {
-    method = JoinMethod::kExactContainment;
-  } else {
-    return Status::FailedPrecondition("no joinable-search engine built");
-  }
-  LAKE_ASSIGN_OR_RETURN(std::vector<ColumnResult> results,
-                        Joinable(query_values, method, k));
-  return AutoJoinResult{method, std::move(results)};
-}
-
 Result<TypeAnnotation> DiscoveryEngine::AnnotateValues(
     const std::vector<std::string>& values) const {
   if (annotator_ == nullptr) {

@@ -131,18 +131,6 @@ class DiscoveryEngine {
       const Table& query, UnionMethod method, size_t k, int64_t exclude = -1,
       const CancelToken* cancel = nullptr) const;
 
-  /// Cost-based joinable search (§3's "cost-based and distribution-aware
-  /// access methods"): picks the strategy from simple statistics — exact
-  /// scan while the lake is small (a scan beats any index below a few
-  /// thousand columns), JOSIE for larger lakes when the exact top-k
-  /// engine exists, LSH Ensemble at scale — and reports the choice.
-  struct AutoJoinResult {
-    JoinMethod method;
-    std::vector<ColumnResult> results;
-  };
-  Result<AutoJoinResult> JoinableAuto(
-      const std::vector<std::string>& query_values, size_t k) const;
-
   /// Query-time semantic type annotation of an arbitrary value column
   /// (requires Options::train_annotator and a KB that grounds at least
   /// two types in the lake; FailedPrecondition otherwise).
@@ -176,6 +164,7 @@ class DiscoveryEngine {
   // --- Component access (benchmarks, tests, advanced callers) ----------
 
   const DataLakeCatalog& catalog() const { return *catalog_; }
+  const Options& options() const { return options_; }
   const WordEmbedding& words() const { return words_; }
   const ColumnEncoder& column_encoder() const { return column_encoder_; }
   const ContextualColumnEncoder& contextual_encoder() const {

@@ -158,18 +158,6 @@ uint64_t CircuitBreaker::trips() const {
   return trips_;
 }
 
-const char* CircuitBreaker::StateName(State s) {
-  switch (s) {
-    case State::kClosed:
-      return "closed";
-    case State::kOpen:
-      return "open";
-    case State::kHalfOpen:
-      return "half_open";
-  }
-  return "unknown";
-}
-
 CircuitBreaker* BreakerSet::Get(const std::string& modality) {
   std::lock_guard<std::mutex> lock(mu_);
   auto it = breakers_.find(modality);

@@ -80,8 +80,6 @@ class CircuitBreaker {
   /// Lifetime closed->open transitions (includes half-open reopens).
   uint64_t trips() const;
 
-  static const char* StateName(State s);
-
  private:
   void RollWindow(Clock::time_point now);
   void TripLocked(Clock::time_point now);

@@ -11,6 +11,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "util/log_buckets.h"
 #include "util/serialize.h"
 #include "util/status.h"
 
@@ -37,10 +38,10 @@ class Gauge {
   std::atomic<uint64_t> value_{0};
 };
 
-/// Fixed-memory log-scale latency histogram (microsecond samples): buckets
-/// are quarters of powers of two (HdrHistogram-style, 2 sub-bucket bits),
-/// so relative error of any extracted quantile is bounded by ~12.5% while
-/// the whole histogram is 256 atomic slots. Record is lock-free.
+/// Fixed-memory log-scale latency histogram (microsecond samples) over the
+/// util/log_buckets scheme: relative error of any extracted quantile is
+/// bounded by ~12.5% while the whole histogram is 256 atomic slots. Record
+/// is lock-free.
 class LatencyHistogram {
  public:
   static constexpr size_t kNumBuckets = 256;
@@ -56,13 +57,11 @@ class LatencyHistogram {
     std::array<uint64_t, kNumBuckets> buckets{};
 
     double mean() const { return count == 0 ? 0 : sum_micros / count; }
-    /// Quantile in microseconds by interpolation inside the hit bucket.
-    /// Edge cases are exact, not interpolated: an empty histogram returns
-    /// 0 for every q, q<=0 returns the tracked minimum, q>=1 (and any
-    /// out-of-range q) the tracked maximum, NaN is treated as 0, and
-    /// interior quantiles are clamped into [min, max] so interpolation
-    /// never extrapolates past an observed sample.
-    double Quantile(double q) const;
+    /// Quantile in microseconds, with LogBucketQuantile's exact edges.
+    double Quantile(double q) const {
+      return LogBucketQuantile(buckets.data(), kNumBuckets, count,
+                               min_micros, max_micros, q);
+    }
     double p50() const { return Quantile(0.50); }
     double p95() const { return Quantile(0.95); }
     double p99() const { return Quantile(0.99); }
@@ -82,8 +81,12 @@ class LatencyHistogram {
 
   /// Bucket index for a microsecond value, and the inclusive lower bound /
   /// exclusive upper bound of a bucket (exposed for tests).
-  static size_t BucketIndex(uint64_t micros);
-  static uint64_t BucketLowerBound(size_t index);
+  static size_t BucketIndex(uint64_t micros) {
+    return LogBucketIndex(micros, kNumBuckets);
+  }
+  static uint64_t BucketLowerBound(size_t index) {
+    return LogBucketLowerBound(index);
+  }
 
  private:
   std::array<std::atomic<uint64_t>, kNumBuckets> buckets_{};

@@ -5,6 +5,7 @@
 #include <utility>
 
 #include "ingest/live_engine.h"
+#include "serve/route.h"
 #include "util/failpoint.h"
 #include "util/hash.h"
 #include "util/string_util.h"
@@ -65,53 +66,6 @@ const char* KindName(QueryKind kind) {
       return "union";
     case QueryKind::kCorrelated:
       return "correlated";
-  }
-  return "unknown";
-}
-
-const char* JoinMethodName(JoinMethod method) {
-  switch (method) {
-    case JoinMethod::kExactJaccard:
-      return "exact_jaccard";
-    case JoinMethod::kExactContainment:
-      return "exact_containment";
-    case JoinMethod::kLshEnsemble:
-      return "lsh_ensemble";
-    case JoinMethod::kJosie:
-      return "josie";
-    case JoinMethod::kPexeso:
-      return "pexeso";
-    case JoinMethod::kApprox:
-      return "approx";
-  }
-  return "unknown";
-}
-
-const char* UnionMethodName(UnionMethod method) {
-  switch (method) {
-    case UnionMethod::kTus:
-      return "tus";
-    case UnionMethod::kSantos:
-      return "santos";
-    case UnionMethod::kStarmie:
-      return "starmie";
-    case UnionMethod::kD3l:
-      return "d3l";
-  }
-  return "unknown";
-}
-
-std::string ModalityNameFor(QueryKind kind, JoinMethod join_method,
-                            UnionMethod union_method) {
-  switch (kind) {
-    case QueryKind::kKeyword:
-      return "keyword";
-    case QueryKind::kCorrelated:
-      return "correlated";
-    case QueryKind::kJoin:
-      return std::string("join.") + JoinMethodName(join_method);
-    case QueryKind::kUnion:
-      return std::string("union.") + UnionMethodName(union_method);
   }
   return "unknown";
 }
@@ -296,11 +250,21 @@ uint64_t QueryService::ExecContext::version() const {
   return cluster != nullptr ? cluster->version() : gen->version();
 }
 
+const DiscoveryEngine::Options& QueryService::ExecContext::built() const {
+  return cluster != nullptr ? cluster->options().engine.base_options
+                            : gen->base().options();
+}
+
 uint64_t QueryService::CacheKey(const QueryRequest& request) const {
-  return CacheKeyWithVersion(request, Pin().version());
+  const ExecContext ctx = Pin();
+  return CacheKeyWithVersion(
+      request,
+      Route(request, ctx.built(), options_.enable_brownout, nullptr).primary,
+      ctx.version());
 }
 
 uint64_t QueryService::CacheKeyWithVersion(const QueryRequest& request,
+                                           const Tier& tier,
                                            uint64_t version) const {
   uint64_t h = Hash64(static_cast<uint64_t>(request.kind), /*seed=*/3);
   h = HashCombine(h, epoch());
@@ -315,9 +279,9 @@ uint64_t QueryService::CacheKeyWithVersion(const QueryRequest& request,
       h = HashCombine(h, Hash64(request.keyword));
       break;
     case QueryKind::kJoin:
-      h = HashCombine(h, static_cast<uint64_t>(request.join_method));
+      h = HashCombine(h, static_cast<uint64_t>(tier.join_method));
       h = HashCombine(h, HashValuesUnordered(request.values));
-      if (request.join_method == JoinMethod::kApprox) {
+      if (tier.join_method == JoinMethod::kApprox) {
         // Approximate answers at different budgets are different results;
         // the budget is canonicalized (<= 0 means the engine default) so
         // "default" spelled two ways shares one entry.
@@ -330,7 +294,7 @@ uint64_t QueryService::CacheKeyWithVersion(const QueryRequest& request,
       }
       break;
     case QueryKind::kUnion:
-      h = HashCombine(h, static_cast<uint64_t>(request.union_method));
+      h = HashCombine(h, static_cast<uint64_t>(tier.union_method));
       h = HashCombine(h, HashTable(*request.union_table));
       if (!request.exclude_name.empty()) {
         h = HashCombine(h, Hash64(request.exclude_name, /*seed=*/7));
@@ -342,17 +306,6 @@ uint64_t QueryService::CacheKeyWithVersion(const QueryRequest& request,
       break;
   }
   return h;
-}
-
-QueryService::Tiers QueryService::BuiltTiers(const ExecContext& ctx) {
-  if (ctx.cluster != nullptr) {
-    const DiscoveryEngine::Options& base =
-        ctx.cluster->options().engine.base_options;
-    return Tiers{base.build_tus, base.build_lsh_join, base.build_approx};
-  }
-  const DiscoveryEngine& base = ctx.gen->base();
-  return Tiers{base.tus() != nullptr, base.lsh_join() != nullptr,
-               base.approx_join() != nullptr};
 }
 
 void QueryService::RecordApproxStats(const approx::ApproxQueryStats& stats) {
@@ -375,18 +328,6 @@ void QueryService::RecordApproxStats(const approx::ApproxQueryStats& stats) {
 
 Result<SubmittedQuery> QueryService::Submit(QueryRequest request) {
   LAKE_RETURN_IF_ERROR(Validate(request));
-
-  // Approximate-tier routing, decided at admission so the cache key, the
-  // modality (breaker, latency histogram, failpoint site), and the
-  // brownout plan all see the effective method. require_exact_method
-  // pins the requested method, and a request that already asks for
-  // kApprox needs no rewrite.
-  if (request.kind == QueryKind::kJoin && request.approx_ok &&
-      !request.require_exact_method &&
-      request.join_method != JoinMethod::kApprox &&
-      BuiltTiers(Pin()).approx_join) {
-    request.join_method = JoinMethod::kApprox;
-  }
 
   if (options_.adaptive_admission) {
     // Door policy: while CoDel is dropping and a queue exists, refuse new
@@ -457,11 +398,6 @@ QueryResponse QueryService::Execute(QueryRequest request) {
     return response;
   }
   return submitted->response.get();
-}
-
-void QueryService::RecordMergeStats(const ingest::MergeStats& stats) {
-  ingest_base_hits_->Add(stats.base_results);
-  ingest_delta_hits_->Add(stats.delta_results);
 }
 
 QueryService::HealthSnapshot QueryService::Health() {
@@ -539,39 +475,8 @@ void QueryService::InvalidateCache() {
   cache_.Clear();
 }
 
-std::optional<QueryService::Fallback> QueryService::FallbackFor(
-    const QueryRequest& request, const ExecContext& ctx) const {
-  // The survey's accuracy/latency pairs: the expensive high-recall method
-  // falls back to the cheap sketch/embedding-average alternative.
-  const Tiers tiers = BuiltTiers(ctx);
-  if (request.kind == QueryKind::kUnion &&
-      request.union_method == UnionMethod::kStarmie && tiers.tus) {
-    return Fallback{request.join_method, UnionMethod::kTus, "union.tus",
-                    brownout_union_};
-  }
-  if (request.kind == QueryKind::kJoin &&
-      request.join_method == JoinMethod::kJosie) {
-    // The sampling tier is the preferred brownout for exact top-k overlap:
-    // same ranking measure, an interval on every answer, and exact
-    // fallback only where the interval cannot settle the top-k. The LSH
-    // sketch tier remains for engines built without it.
-    if (tiers.approx_join) {
-      return Fallback{JoinMethod::kApprox, request.union_method,
-                      "join.approx", brownout_join_};
-    }
-    if (tiers.lsh_join) {
-      return Fallback{JoinMethod::kLshEnsemble, request.union_method,
-                      "join.lsh_ensemble", brownout_join_};
-    }
-  }
-  // kApprox itself is the floor of the join tier ladder: no fallback.
-  return std::nullopt;
-}
-
 void QueryService::ExecuteCluster(const QueryRequest& request,
-                                  JoinMethod join_method,
-                                  UnionMethod union_method,
-                                  const CancelToken* cancel,
+                                  const Tier& tier, const CancelToken* cancel,
                                   QueryResponse* response) {
   // Scatter-gather to all shards. A slow or dead shard yields a partial
   // answer flagged degraded (and therefore never cached) rather than a
@@ -603,13 +508,14 @@ void QueryService::ExecuteCluster(const QueryRequest& request,
       take_tables(cluster_->Keyword(request.keyword, request.k, cancel));
       break;
     case QueryKind::kJoin:
-      take_columns(cluster_->Joinable(request.values, join_method, request.k,
-                                      cancel, request.error_budget));
+      take_columns(cluster_->Joinable(request.values, tier.join_method,
+                                      request.k, cancel,
+                                      request.error_budget));
       break;
     case QueryKind::kUnion:
-      take_tables(cluster_->Unionable(*request.union_table, union_method,
-                                      request.k, request.exclude_name,
-                                      cancel));
+      take_tables(cluster_->Unionable(*request.union_table,
+                                      tier.union_method, request.k,
+                                      request.exclude_name, cancel));
       break;
     case QueryKind::kCorrelated:
       take_columns(cluster_->Correlated(request.values, request.numeric_values,
@@ -619,22 +525,21 @@ void QueryService::ExecuteCluster(const QueryRequest& request,
 }
 
 void QueryService::ExecuteEngine(const QueryRequest& request,
-                                 JoinMethod join_method,
-                                 UnionMethod union_method,
-                                 const std::string& modality,
-                                 const ExecContext& ctx,
+                                 const Tier& tier, const ExecContext& ctx,
                                  const CancelToken* cancel,
                                  QueryResponse* response) {
   const auto exec_start = Clock::now();
-  response->served_by = modality;
+  const JoinMethod join_method = tier.join_method;
+  response->served_by = tier.modality;
 
   // Chaos-test fault site: a hung (kDelay) or erroring dependency for
   // exactly this (kind, method) modality.
-  const Status injected = ExecFailpoint("serve.exec." + modality, cancel);
+  const Status injected =
+      ExecFailpoint("serve.exec." + tier.modality, cancel);
   if (!injected.ok()) {
     response->status = injected;
   } else if (ctx.cluster != nullptr) {
-    ExecuteCluster(request, join_method, union_method, cancel, response);
+    ExecuteCluster(request, tier, cancel, response);
   } else {
     const ingest::Generation& gen = *ctx.gen;
     ingest::MergeStats merge;
@@ -657,7 +562,8 @@ void QueryService::ExecuteEngine(const QueryRequest& request,
              &response->columns);
         break;
       case QueryKind::kUnion:
-        take(ingest::MergedUnionable(gen, *request.union_table, union_method,
+        take(ingest::MergedUnionable(gen, *request.union_table,
+                                     tier.union_method,
                                      request.k, request.exclude, cancel,
                                      &merge),
              &response->tables);
@@ -670,7 +576,8 @@ void QueryService::ExecuteEngine(const QueryRequest& request,
         break;
     }
     if (response->status.ok()) {
-      RecordMergeStats(merge);
+      ingest_base_hits_->Add(merge.base_results);
+      ingest_delta_hits_->Add(merge.delta_results);
       if (approx_out != nullptr) RecordApproxStats(*approx_out);
     }
   }
@@ -686,41 +593,31 @@ void QueryService::ExecuteEngine(const QueryRequest& request,
 
   // Execution-only latency (excludes queue wait); its upper quantiles
   // drive the brownout budget check for this modality.
-  metrics_.GetHistogram("serve.exec." + modality)
+  metrics_.GetHistogram("serve.exec." + tier.modality)
       ->Record(std::chrono::duration<double, std::micro>(Clock::now() -
                                                          exec_start)
                    .count());
 }
 
 void QueryService::ExecutePlan(const QueryRequest& request,
+                               const RoutePlan& plan, CircuitBreaker* breaker,
                                const ExecContext& ctx,
                                const CancelToken* cancel,
                                QueryResponse* response) {
-  const std::string primary = ModalityName(request);
-  CircuitBreaker* breaker =
-      options_.enable_breakers ? breakers_.Get(primary) : nullptr;
-  const CircuitBreaker::Permit permit =
-      breaker != nullptr ? breaker->Allow(Clock::now())
-                         : CircuitBreaker::Permit::kAllowed;
-
-  std::optional<Fallback> fallback = FallbackFor(request, ctx);
-  if (!options_.enable_brownout || request.require_exact_method) {
-    fallback.reset();
-  }
-
+  using Start = RoutePlan::Start;
   // Serve the query with the cheaper method and flag it degraded. Returns
   // false when there is no fallback or its own breaker refuses.
   auto run_fallback = [&]() {
-    if (!fallback.has_value()) return false;
-    CircuitBreaker* fb =
-        options_.enable_breakers ? breakers_.Get(fallback->modality) : nullptr;
+    if (!plan.fallback.has_value()) return false;
+    CircuitBreaker* fb = options_.enable_breakers
+                             ? breakers_.Get(plan.fallback->modality)
+                             : nullptr;
     const CircuitBreaker::Permit fpermit =
         fb != nullptr ? fb->Allow(Clock::now())
                       : CircuitBreaker::Permit::kAllowed;
     if (fpermit == CircuitBreaker::Permit::kDenied) return false;
     QueryResponse alt;
-    ExecuteEngine(request, fallback->join_method, fallback->union_method,
-                  fallback->modality, ctx, cancel, &alt);
+    ExecuteEngine(request, *plan.fallback, ctx, cancel, &alt);
     RecordOutcome(fb, alt.status, Clock::now());
     response->status = alt.status;
     response->tables = std::move(alt.tables);
@@ -732,39 +629,22 @@ void QueryService::ExecutePlan(const QueryRequest& request,
     response->approx = alt.approx;
     response->degraded = true;
     brownout_total_->Add();
-    if (fallback->counter != nullptr) fallback->counter->Add();
+    (request.kind == QueryKind::kUnion ? brownout_union_ : brownout_join_)
+        ->Add();
     return true;
   };
 
-  if (permit == CircuitBreaker::Permit::kDenied) {
+  if (plan.start == Start::kFallbackOnly || plan.start == Start::kUnavailable) {
     breaker_fast_fail_->Add();
     if (!run_fallback()) {
-      response->status =
-          Status::Unavailable("circuit breaker open for " + primary);
+      response->status = Status::Unavailable("circuit breaker open for " +
+                                             plan.primary.modality);
     }
     return;
   }
+  if (plan.start == Start::kFallback && run_fallback()) return;
 
-  // Budget brownout, only from the closed state (a granted half-open
-  // probe must execute the primary so the breaker can learn): when the
-  // remaining deadline budget is below the method's tracked upper
-  // quantile, don't even start the expensive method.
-  if (permit == CircuitBreaker::Permit::kAllowed && fallback.has_value() &&
-      cancel->has_deadline()) {
-    LatencyHistogram* hist = metrics_.GetHistogram("serve.exec." + primary);
-    if (hist->count() >= options_.brownout_min_samples) {
-      const double budget_us =
-          std::chrono::duration<double, std::micro>(cancel->Remaining())
-              .count();
-      if (budget_us < hist->Percentile(options_.brownout_quantile) &&
-          run_fallback()) {
-        return;
-      }
-    }
-  }
-
-  ExecuteEngine(request, request.join_method, request.union_method, primary,
-                ctx, cancel, response);
+  ExecuteEngine(request, plan.primary, ctx, cancel, response);
   RecordOutcome(breaker, response->status, Clock::now());
 
   // Failure brownout: the primary failed for a breaker-worthy reason
@@ -777,6 +657,36 @@ void QueryService::ExecutePlan(const QueryRequest& request,
     if (!run_fallback()) *response = std::move(failed);
   }
 }
+
+/// Route's view of this service for one query: the primary's breaker
+/// (kept so the plan's executor can record its outcome), the query's
+/// deadline and the registry's exec-latency histograms.
+class QueryService::Signals final : public RouteSignals {
+ public:
+  Signals(QueryService* service, const CancelToken* cancel)
+      : service_(service), cancel_(cancel) {}
+
+  CircuitBreaker::Permit Permit(const std::string& modality) override {
+    if (!service_->options_.enable_breakers) {
+      return CircuitBreaker::Permit::kAllowed;
+    }
+    breaker = service_->breakers_.Get(modality);
+    return breaker->Allow(Clock::now());
+  }
+  std::optional<std::chrono::nanoseconds> Budget() override {
+    if (!cancel_->has_deadline()) return std::nullopt;
+    return cancel_->Remaining();
+  }
+  const LatencyHistogram& ExecLatency(const std::string& modality) override {
+    return *service_->metrics_.GetHistogram("serve.exec." + modality);
+  }
+
+  CircuitBreaker* breaker = nullptr;
+
+ private:
+  QueryService* service_;
+  const CancelToken* cancel_;
+};
 
 QueryResponse QueryService::Run(
     const QueryRequest& request, const CancelToken* cancel,
@@ -808,37 +718,39 @@ QueryResponse QueryService::Run(
   // ApplyBatch or rebalance routes around stale entries.
   const ExecContext ctx = Pin();
 
-  const bool use_cache = options_.enable_cache && !request.bypass_cache;
-  const uint64_t key =
-      use_cache ? CacheKeyWithVersion(request, ctx.version()) : 0;
-
+  // A query that spent its whole budget queued fails before touching the
+  // engine (and before counting a cache miss).
+  if (response.status.ok()) response.status = cancel->Check();
   if (response.status.ok()) {
-    // A query that spent its whole budget queued fails before touching the
-    // engine (and before counting a cache miss).
-    Status live = cancel->Check();
-    if (live.ok() && use_cache) {
-      CachedResult hit;
-      if (cache_.Lookup(key, &hit)) {
-        cache_hits_->Add();
-        response.tables = std::move(hit.tables);
-        response.columns = std::move(hit.columns);
-        response.table_names = std::move(hit.table_names);
-        response.shards = std::move(hit.shards);
-        response.cache_hit = true;
-        // Approx routing is decided at admission, so an entry under a
-        // kApprox key can only hold an approximate answer (degraded
-        // results are never cached) — the flag survives the cache.
-        response.approx = request.kind == QueryKind::kJoin &&
-                          request.join_method == JoinMethod::kApprox;
-      } else {
-        cache_misses_->Add();
+    // Route once against the pinned snapshot: the cache key, the
+    // modality (breaker, latency histogram, failpoint site) and the
+    // brownout plan all see the routed method.
+    Signals signals(this, cancel);
+    const RoutePlan plan =
+        Route(request, ctx.built(), options_.enable_brownout, &signals);
+    const bool use_cache = options_.enable_cache && !request.bypass_cache;
+    const uint64_t key =
+        use_cache ? CacheKeyWithVersion(request, plan.primary, ctx.version())
+                  : 0;
+    CachedResult hit;
+    if (use_cache && cache_.Lookup(key, &hit)) {
+      cache_hits_->Add();
+      response.tables = std::move(hit.tables);
+      response.columns = std::move(hit.columns);
+      response.table_names = std::move(hit.table_names);
+      response.shards = std::move(hit.shards);
+      response.cache_hit = true;
+      // An entry under a kApprox key can only hold an approximate answer
+      // (degraded results are never cached) — the flag survives the cache.
+      response.approx = request.kind == QueryKind::kJoin &&
+                        plan.primary.join_method == JoinMethod::kApprox;
+      // The primary never ran: hand back a claimed half-open probe slot.
+      if (plan.permit == CircuitBreaker::Permit::kProbe) {
+        signals.breaker->RecordNeutral(Clock::now());
       }
-    }
-
-    if (!live.ok()) {
-      response.status = live;
-    } else if (!response.cache_hit) {
-      ExecutePlan(request, ctx, cancel, &response);
+    } else {
+      if (use_cache) cache_misses_->Add();
+      ExecutePlan(request, plan, signals.breaker, ctx, cancel, &response);
       // A query that expired mid-execution must not populate the cache
       // (the engine may have unwound with partial work), and a degraded
       // brownout answer must not shadow the full-quality method's entry.

@@ -28,6 +28,9 @@ class LiveEngine;
 
 namespace lake::serve {
 
+struct RoutePlan;
+struct Tier;
+
 /// Query flavors the service multiplexes over its engine(s).
 enum class QueryKind {
   kKeyword,     // free-text metadata search
@@ -72,12 +75,12 @@ struct QueryRequest {
   /// Also vetoes approx_ok routing.
   bool require_exact_method = false;
 
-  /// Opt into the sampling-based approximate tier (kJoin only): the
-  /// service may rewrite join_method to JoinMethod::kApprox at admission
-  /// when the engine built the sample index. Approximate answers carry a
-  /// confidence interval in each result's `why` and set
-  /// QueryResponse::approx; candidates whose interval cannot settle the
-  /// ranking are verified exactly before they are returned.
+  /// Opt into the sampling-based approximate tier (kJoin only): Route
+  /// serves the join with JoinMethod::kApprox when the engine built the
+  /// sample index. Approximate answers carry a confidence interval in each
+  /// result's `why` and set QueryResponse::approx; candidates whose
+  /// interval cannot settle the ranking are verified exactly before they
+  /// are returned.
   bool approx_ok = false;
   /// Per-estimate error budget delta for the approximate tier: intervals
   /// cover the truth with probability >= 1 - delta. <= 0 means the engine
@@ -129,7 +132,7 @@ struct SubmittedQuery {
 /// canonical query hashes, per-modality circuit breakers with graceful
 /// brownout to the survey's cheap methods (Starmie -> TUS, JOSIE ->
 /// approx / LSH Ensemble), and a MetricsRegistry every component reports
-/// into.
+/// into. Route (serve/route.h) makes every method choice, once per query.
 ///
 /// There are two read paths. Single-node queries run the ingest layer's
 /// base+delta merged queries over one pinned ingest::Generation: a frozen
@@ -161,14 +164,10 @@ class QueryService {
     CircuitBreaker::Options breaker;
 
     /// Brownout: when the requested method's breaker refuses, or the
-    /// remaining deadline budget is below the method's tracked latency
-    /// quantile, serve the cheaper surveyed method and flag the response
-    /// degraded instead of failing.
+    /// remaining deadline budget is below the method's tracked p95 exec
+    /// latency, serve the cheaper surveyed method and flag the response
+    /// degraded instead of failing (see Route).
     bool enable_brownout = true;
-    double brownout_quantile = 0.95;
-    /// Minimum samples in a method's latency histogram before the budget
-    /// check trusts its quantile.
-    uint64_t brownout_min_samples = 32;
 
     bool enable_cache = true;
     ResultCache::Options cache;
@@ -226,15 +225,15 @@ class QueryService {
   uint64_t epoch() const { return epoch_.load(std::memory_order_relaxed); }
 
   /// Canonical cache key of a request under the current epoch: a 64-bit
-  /// hash of (kind, method, k, exclude, epoch, query content). Value order
-  /// is canonicalized for set-semantics queries, so permutations of the
-  /// same join query share one entry.
+  /// hash of (kind, routed method, k, exclude, epoch, query content).
+  /// Value order is canonicalized for set-semantics queries, so
+  /// permutations of the same join query share one entry.
   uint64_t CacheKey(const QueryRequest& request) const;
 
-  /// Modality key of a request — "<kind>" or "<kind>.<method>", e.g.
-  /// "union.starmie" — naming its circuit breaker, its execution-latency
-  /// histogram (serve.exec.<modality>) and its failpoint site
-  /// (serve.exec.<modality>).
+  /// Modality key of a request's own method — "<kind>" or
+  /// "<kind>.<method>", e.g. "union.starmie" — naming its circuit breaker,
+  /// its execution-latency histogram (serve.exec.<modality>) and its
+  /// failpoint site (serve.exec.<modality>).
   static std::string ModalityName(const QueryRequest& request);
 
   /// One breaker's externally visible state.
@@ -315,7 +314,12 @@ class QueryService {
     /// Cache-key version: the generation's publish version (0 for a
     /// frozen engine) or the cluster's mutation version.
     uint64_t version() const;
+    /// The options the snapshot's engines were built with: Route reads
+    /// which tiers exist from them (a cluster builds every shard alike).
+    const DiscoveryEngine::Options& built() const;
   };
+  /// Route's view of this service for one query (defined in the .cc).
+  class Signals;
 
   /// Shared by the public constructors, which then set the source.
   explicit QueryService(Options options);
@@ -326,41 +330,22 @@ class QueryService {
   QueryResponse Run(const QueryRequest& request, const CancelToken* cancel,
                     std::chrono::steady_clock::time_point admitted);
   Status Validate(const QueryRequest& request) const;
-  uint64_t CacheKeyWithVersion(const QueryRequest& request,
+  uint64_t CacheKeyWithVersion(const QueryRequest& request, const Tier& tier,
                                uint64_t version) const;
-  /// Breaker + brownout dispatch: picks the modality (requested or
-  /// fallback), executes it, and feeds outcomes back into the breakers.
-  void ExecutePlan(const QueryRequest& request, const ExecContext& ctx,
+  /// Carries out a routed plan: runs the tier it starts on, browns out to
+  /// the fallback as the plan allows, and feeds outcomes back into the
+  /// breakers. `breaker` is the primary's (null with breakers off).
+  void ExecutePlan(const QueryRequest& request, const RoutePlan& plan,
+                   CircuitBreaker* breaker, const ExecContext& ctx,
                    const CancelToken* cancel, QueryResponse* response);
-  /// Executes one concrete (kind, method) modality against the snapshot.
-  void ExecuteEngine(const QueryRequest& request, JoinMethod join_method,
-                     UnionMethod union_method, const std::string& modality,
+  /// Executes one concrete tier against the snapshot.
+  void ExecuteEngine(const QueryRequest& request, const Tier& tier,
                      const ExecContext& ctx, const CancelToken* cancel,
                      QueryResponse* response);
-  /// The cheaper surveyed fallback for a modality, if the snapshot has it.
-  struct Fallback {
-    JoinMethod join_method;
-    UnionMethod union_method;
-    std::string modality;
-    Counter* counter = nullptr;  // serve.brownout.<kind>
-  };
-  std::optional<Fallback> FallbackFor(const QueryRequest& request,
-                                      const ExecContext& ctx) const;
   /// Cluster-mode dispatch: scatter-gather through the cluster engine and
   /// translate hits into the response (ids + names + shards + missing).
-  void ExecuteCluster(const QueryRequest& request, JoinMethod join_method,
-                      UnionMethod union_method, const CancelToken* cancel,
-                      QueryResponse* response);
-  void RecordMergeStats(const ingest::MergeStats& stats);
-  /// The cheaper tiers a snapshot built. A cluster's shards are all built
-  /// with the same options, so its build flags answer; a generation's
-  /// base engine answers directly.
-  struct Tiers {
-    bool tus = false;
-    bool lsh_join = false;
-    bool approx_join = false;
-  };
-  static Tiers BuiltTiers(const ExecContext& ctx);
+  void ExecuteCluster(const QueryRequest& request, const Tier& tier,
+                      const CancelToken* cancel, QueryResponse* response);
   /// Harvests one approximate query's work accounting into the approx.*
   /// metrics (estimates, fallback/interval decisions, widths, samples).
   void RecordApproxStats(const approx::ApproxQueryStats& stats);

@@ -31,13 +31,6 @@ MinHashSignature MinHashSignature::Build(const std::vector<std::string>& values,
   return sig;
 }
 
-MinHashSignature MinHashSignature::BuildFromHashes(
-    const std::vector<uint64_t>& hashes, size_t num_hashes) {
-  MinHashSignature sig(num_hashes);
-  for (uint64_t h : hashes) sig.Update(h);
-  return sig;
-}
-
 Result<double> MinHashSignature::EstimateJaccard(
     const MinHashSignature& other) const {
   if (mins_.size() != other.mins_.size()) {

@@ -26,8 +26,6 @@ class MinHashSignature {
   /// Convenience: builds a signature over a value set.
   static MinHashSignature Build(const std::vector<std::string>& values,
                                 size_t num_hashes, uint64_t seed = 0);
-  static MinHashSignature BuildFromHashes(const std::vector<uint64_t>& hashes,
-                                          size_t num_hashes);
 
   size_t num_hashes() const { return mins_.size(); }
   const std::vector<uint64_t>& values() const { return mins_; }

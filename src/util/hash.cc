@@ -41,7 +41,7 @@ inline uint64_t MergeRound(uint64_t acc, uint64_t val) {
 
 }  // namespace
 
-uint64_t Hash64(const void* data, size_t len, uint64_t seed) {
+uint64_t HashBytes(const void* data, size_t len, uint64_t seed) {
   const uint8_t* p = static_cast<const uint8_t*>(data);
   const uint8_t* const end = p + len;
   uint64_t h;

@@ -15,14 +15,16 @@ inline uint64_t Mix64(uint64_t x) {
   return x ^ (x >> 31);
 }
 
-/// Hashes `data` with a 64-bit xxHash64-style algorithm. Deterministic across
-/// platforms and runs; used for sketches, LSH, and embeddings so that all
-/// randomized structures are reproducible.
-uint64_t Hash64(const void* data, size_t len, uint64_t seed = 0);
+/// Hashes `len` bytes at `data` with a 64-bit xxHash64-style algorithm.
+/// Deterministic across platforms and runs; used for sketches, LSH, and
+/// embeddings so that all randomized structures are reproducible. Named
+/// apart from Hash64 so that `Hash64("literal", seed)` cannot bind here and
+/// take the seed for a length.
+uint64_t HashBytes(const void* data, size_t len, uint64_t seed = 0);
 
-/// Convenience overload for strings.
+/// Hashes a string's bytes (HashBytes).
 inline uint64_t Hash64(std::string_view s, uint64_t seed = 0) {
-  return Hash64(s.data(), s.size(), seed);
+  return HashBytes(s.data(), s.size(), seed);
 }
 
 /// Convenience overload for integers.

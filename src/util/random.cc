@@ -55,10 +55,6 @@ double Rng::NextUnit() {
   return static_cast<double>(Next() >> 11) * (1.0 / 9007199254740992.0);
 }
 
-double Rng::NextUniform(double lo, double hi) {
-  return lo + (hi - lo) * NextUnit();
-}
-
 double Rng::NextGaussian() {
   // Box-Muller; guard against log(0).
   double u1 = NextUnit();

@@ -26,9 +26,6 @@ class Rng {
   /// Uniform double in [0, 1).
   double NextUnit();
 
-  /// Uniform double in [lo, hi).
-  double NextUniform(double lo, double hi);
-
   /// Standard normal via Box-Muller (no cached spare; stateless per call
   /// pair would complicate reseeding).
   double NextGaussian();

@@ -57,9 +57,6 @@ class Status {
   static Status FailedPrecondition(std::string msg) {
     return Status(StatusCode::kFailedPrecondition, std::move(msg));
   }
-  static Status Unimplemented(std::string msg) {
-    return Status(StatusCode::kUnimplemented, std::move(msg));
-  }
   static Status Internal(std::string msg) {
     return Status(StatusCode::kInternal, std::move(msg));
   }

@@ -12,13 +12,17 @@ ThreadPool::ThreadPool(size_t num_threads) {
   }
 }
 
-ThreadPool::~ThreadPool() {
+ThreadPool::~ThreadPool() { Shutdown(); }
+
+void ThreadPool::Shutdown() {
   {
     std::unique_lock<std::mutex> lock(mu_);
     stop_ = true;
   }
   task_cv_.notify_all();
-  for (std::thread& t : workers_) t.join();
+  for (std::thread& t : workers_) {
+    if (t.joinable()) t.join();
+  }
 }
 
 void ThreadPool::Submit(std::function<void()> task) {

@@ -28,6 +28,10 @@ class ThreadPool {
   ThreadPool(const ThreadPool&) = delete;
   ThreadPool& operator=(const ThreadPool&) = delete;
 
+  /// Drains queued tasks and joins the workers (idempotent; the destructor
+  /// calls it). Tasks submitted afterwards run inline on the caller.
+  void Shutdown();
+
   /// Enqueues a task. Safe to call from any thread, including workers.
   /// If the pool is already shutting down the task runs inline on the
   /// calling thread instead of being enqueued: before this guard a task

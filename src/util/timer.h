@@ -21,9 +21,6 @@ class Timer {
   /// Milliseconds elapsed.
   double ElapsedMillis() const { return ElapsedSeconds() * 1e3; }
 
-  /// Microseconds elapsed.
-  double ElapsedMicros() const { return ElapsedSeconds() * 1e6; }
-
  private:
   using Clock = std::chrono::steady_clock;
   Clock::time_point start_;

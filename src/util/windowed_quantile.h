@@ -13,20 +13,16 @@ namespace lake {
 /// time-sliced log-scale histograms, and quantiles are computed only over
 /// the slices still inside the window, so a replica that was slow a
 /// minute ago but recovered stops *looking* slow as its old slices roll
-/// off. Value bucketing is HdrHistogram-style (2 sub-bucket bits):
-/// relative quantile error is bounded at ~12.5%, plenty for "is this
-/// replica 3x slower than its peers" decisions without per-sample
-/// allocation.
+/// off. Each slice is a histogram of the util/log_buckets scheme (128
+/// slots cover ~2.3 hours in microseconds): relative quantile error is
+/// bounded at ~12.5%, plenty for "is this replica 3x slower than its
+/// peers" decisions without per-sample allocation.
 ///
 /// Thread-safe; all methods take the caller's `now` so tests and the
 /// chaos harness control time through the same clock they already use.
 class WindowedQuantile {
  public:
   using Clock = std::chrono::steady_clock;
-
-  /// 8 exact buckets for 0..7, then 4 sub-buckets per power of two:
-  /// 128 slots cover ~2.3 hours in microseconds.
-  static constexpr size_t kValueBuckets = 128;
 
   struct Options {
     /// Number of time slices in the ring; the window covers
@@ -42,8 +38,8 @@ class WindowedQuantile {
   /// Folds one sample (microseconds) into the slice containing `now`.
   void Record(double micros, Clock::time_point now);
 
-  /// q-quantile (in microseconds, q clamped to [0, 1]) over the samples
-  /// still inside the window; 0 when the window is empty.
+  /// q-quantile in microseconds over the samples still inside the window,
+  /// with LogBucketQuantile's edges (0 when the window is empty).
   double Quantile(double q, Clock::time_point now) const;
 
   /// Samples still inside the window.
@@ -54,15 +50,15 @@ class WindowedQuantile {
   void Reset();
 
  private:
+  static constexpr size_t kBuckets = 128;
+
   struct Slice {
     uint64_t tick = UINT64_MAX;  // slice index since epoch; UINT64_MAX = empty
     uint64_t total = 0;
-    std::array<uint32_t, kValueBuckets> buckets{};
+    uint64_t min = UINT64_MAX;
+    uint64_t max = 0;
+    std::array<uint32_t, kBuckets> buckets{};
   };
-
-  static size_t ValueBucket(uint64_t micros);
-  static uint64_t BucketLowerBound(size_t index);
-  static uint64_t BucketWidth(size_t index);
 
   uint64_t TickOf(Clock::time_point now) const;
   bool LiveAt(const Slice& slice, uint64_t tick) const;

@@ -444,6 +444,59 @@ TEST(ApproxJoinSearchTest, TopKRecallAgainstOracle) {
   EXPECT_GE(recall_sum / static_cast<double>(recall_n), 0.95);
 }
 
+TEST(ApproxJoinSearchTest, RefinementPoolIsCappedAtKTimesFactor) {
+  // 40 columns of 3000 values, each holding a different 1000-value half of
+  // the 2000-value query: every true containment is 0.5, so every screening
+  // interval reaches the top-k boundary.
+  const std::vector<std::string> query = Values(0, 2000, "q");
+  std::vector<std::pair<std::string, std::vector<std::string>>> tables;
+  const size_t num_columns = 40;
+  for (size_t i = 0; i < num_columns; ++i) {
+    std::vector<std::string> vals = Values(0, 2000, "c" + std::to_string(i) +
+                                                        "_");
+    for (size_t j = 0; j < 1000; ++j) {
+      vals.push_back(query[(j * 2 + i) % query.size()]);
+    }
+    tables.emplace_back("t" + std::to_string(i), std::move(vals));
+  }
+  DataLakeCatalog cat = OneColumnLake(tables);
+  ApproxJoinSearch::Options opts;
+  opts.estimator.max_sample = 256;
+  opts.min_sample = 64;
+  opts.max_sample = 256;
+  ApproxJoinSearch search(&cat, opts);
+  const size_t k = 2;
+  const size_t cap = k * ApproxJoinSearch::kCandidateFactor;
+
+  // More than k * kCandidateFactor columns reach the screening boundary.
+  const HashedSet qset = search.estimator().QuerySet(query);
+  std::vector<IntervalEstimate> screened;
+  std::vector<double> los;
+  for (size_t i = 0; i < search.num_indexed_columns(); ++i) {
+    screened.push_back(search.estimator().EstimateContainment(
+        qset, i, opts.min_sample, opts.error_budget));
+    los.push_back(screened.back().lo);
+  }
+  ASSERT_EQ(screened.size(), num_columns);
+  std::sort(los.begin(), los.end(), std::greater<double>());
+  size_t reaching = 0;
+  for (const IntervalEstimate& e : screened) {
+    if (!e.exact && e.hi >= los[k - 1]) ++reaching;
+  }
+  ASSERT_GT(reaching, cap);
+
+  // The documented cap: after screening every column once, each
+  // refinement round re-estimates at most k * kCandidateFactor of them.
+  ApproxQueryStats stats;
+  const std::vector<ColumnResult> results =
+      search.Search(query, k, opts.error_budget, &stats).value();
+  EXPECT_EQ(results.size(), k);
+  ASSERT_GT(stats.rounds, 1u);
+  EXPECT_GT(stats.estimates, num_columns);
+  EXPECT_LE(stats.estimates, num_columns + cap * (stats.rounds - 1));
+  EXPECT_LE(stats.decisions(), cap);
+}
+
 TEST(ApproxJoinSearchTest, EveryAnswerCarriesIntervalOrExactTag) {
   SkewedSetsWorkload w;
   DataLakeCatalog cat = SkewedLake(&w);

@@ -163,34 +163,17 @@ TEST_F(DiscoveryEngineTest, QueryTimeAnnotation) {
   EXPECT_NE(ann.type_label.find(lake_->topic_of[0]), std::string::npos)
       << ann.type_label;
   EXPECT_GT(ann.confidence, 0.3);
-}
 
-TEST_F(DiscoveryEngineTest, JoinableAutoPicksAndAnswers) {
-  const TableId q = lake_->unionable_groups[0][0];
-  const auto values = lake_->catalog.table(q).column(0).DistinctStrings();
-  const auto result = engine_->JoinableAuto(values, 5).value();
-  // This lake is small, so the planner picks the exact scan.
-  EXPECT_EQ(result.method, JoinMethod::kExactContainment);
-  ASSERT_FALSE(result.results.empty());
-  EXPECT_EQ(result.results[0].column.table_id, q);
-
-  // With only JOSIE built, the planner falls back to it.
+  // Without a trained annotator, annotation reports the precondition.
   DiscoveryEngine::Options opts;
   opts.build_keyword = opts.build_exact_join = opts.build_lsh_join = false;
-  opts.build_pexeso = opts.build_mate = opts.build_correlated = false;
+  opts.build_josie = opts.build_pexeso = opts.build_mate = false;
+  opts.build_approx = opts.build_correlated = false;
   opts.build_tus = opts.build_santos = opts.build_starmie = false;
   opts.build_d3l = false;
   opts.synthesize_kb = false;
   opts.train_annotator = false;
-  DiscoveryEngine josie_only(&lake_->catalog, nullptr, opts);
-  const auto r2 = josie_only.JoinableAuto(values, 5).value();
-  EXPECT_EQ(r2.method, JoinMethod::kJosie);
-  EXPECT_FALSE(r2.results.empty());
-
-  // With nothing built, the planner reports the precondition failure.
-  opts.build_josie = false;
   DiscoveryEngine none(&lake_->catalog, nullptr, opts);
-  EXPECT_FALSE(none.JoinableAuto(values, 5).ok());
   EXPECT_FALSE(none.annotator_ready());
   EXPECT_FALSE(none.AnnotateValues(values).ok());
 }

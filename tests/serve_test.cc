@@ -14,6 +14,7 @@
 #include "serve/metrics.h"
 #include "serve/query_service.h"
 #include "serve/result_cache.h"
+#include "serve/route.h"
 #include "util/cancel.h"
 #include "util/string_util.h"
 
@@ -795,6 +796,208 @@ TEST_F(QueryServiceTest, ConcurrentMixedWorkloadIsConsistent) {
     if (row.name.rfind("serve.latency.", 0) == 0) recorded += row.count;
   }
   EXPECT_EQ(recorded, 65u);  // 64 + the reference query
+}
+
+TEST_F(QueryServiceTest, CacheKeyOfApproxOkRequestIsTheRoutedKey) {
+  QueryService service(engine_, QueryService::Options{});
+  QueryRequest req = JoinRequest();
+  req.approx_ok = true;
+  const QueryResponse response = service.Execute(req);
+  ASSERT_TRUE(response.status.ok()) << response.status;
+  ASSERT_EQ(response.served_by, "join.approx");
+  CachedResult hit;
+  EXPECT_TRUE(service.cache().Lookup(service.CacheKey(req), &hit));
+}
+
+// ------------------------------------------------------------------ route
+
+/// Scripted signals: fixed answers, plus a record of what Route asked.
+struct FakeSignals : RouteSignals {
+  CircuitBreaker::Permit permit = CircuitBreaker::Permit::kAllowed;
+  std::optional<std::chrono::nanoseconds> budget;
+  LatencyHistogram latency;
+  std::vector<std::string> permits_asked;
+  int latency_reads = 0;
+
+  CircuitBreaker::Permit Permit(const std::string& modality) override {
+    permits_asked.push_back(modality);
+    return permit;
+  }
+  std::optional<std::chrono::nanoseconds> Budget() override { return budget; }
+  const LatencyHistogram& ExecLatency(const std::string&) override {
+    ++latency_reads;
+    return latency;
+  }
+  /// `n` samples of 1 ms each: p95 is 1 ms.
+  void RecordMillis(int n) {
+    for (int i = 0; i < n; ++i) latency.Record(1000);
+  }
+};
+
+QueryRequest RouteJoin(JoinMethod method) {
+  QueryRequest req;
+  req.kind = QueryKind::kJoin;
+  req.join_method = method;
+  return req;
+}
+
+QueryRequest RouteUnion(UnionMethod method) {
+  QueryRequest req;
+  req.kind = QueryKind::kUnion;
+  req.union_method = method;
+  return req;
+}
+
+/// Every tier built (the engine default).
+const DiscoveryEngine::Options kAllTiers{};
+
+TEST(RouteTest, ApproxOkRoutesToTheSamplingTierWhenBuilt) {
+  QueryRequest req = RouteJoin(JoinMethod::kJosie);
+  req.approx_ok = true;
+  const RoutePlan plan = Route(req, kAllTiers, true, nullptr);
+  EXPECT_EQ(plan.primary.join_method, JoinMethod::kApprox);
+  EXPECT_EQ(plan.primary.modality, "join.approx");
+  EXPECT_FALSE(plan.fallback.has_value());  // kApprox is the floor
+  EXPECT_EQ(plan.start, RoutePlan::Start::kPrimary);
+}
+
+TEST(RouteTest, ApproxOkKeepsTheRequestedMethodWhenApproxIsUnbuilt) {
+  DiscoveryEngine::Options built;
+  built.build_approx = false;
+  QueryRequest req = RouteJoin(JoinMethod::kJosie);
+  req.approx_ok = true;
+  const RoutePlan plan = Route(req, built, true, nullptr);
+  EXPECT_EQ(plan.primary.modality, "join.josie");
+  ASSERT_TRUE(plan.fallback.has_value());
+  EXPECT_EQ(plan.fallback->modality, "join.lsh_ensemble");
+}
+
+TEST(RouteTest, RequireExactMethodVetoesApproxOkAndBrownout) {
+  QueryRequest req = RouteJoin(JoinMethod::kJosie);
+  req.approx_ok = true;
+  req.require_exact_method = true;
+  const RoutePlan plan = Route(req, kAllTiers, true, nullptr);
+  EXPECT_EQ(plan.primary.join_method, JoinMethod::kJosie);
+  EXPECT_EQ(plan.primary.modality, "join.josie");
+  EXPECT_FALSE(plan.fallback.has_value());
+}
+
+TEST(RouteTest, LadderRungs) {
+  auto fallback_of = [](const QueryRequest& req,
+                        const DiscoveryEngine::Options& built) {
+    const RoutePlan plan = Route(req, built, true, nullptr);
+    return plan.fallback ? plan.fallback->modality : std::string("none");
+  };
+  DiscoveryEngine::Options no_approx;
+  no_approx.build_approx = false;
+  DiscoveryEngine::Options no_join_tiers = no_approx;
+  no_join_tiers.build_lsh_join = false;
+  DiscoveryEngine::Options no_tus;
+  no_tus.build_tus = false;
+
+  EXPECT_EQ(fallback_of(RouteUnion(UnionMethod::kStarmie), kAllTiers),
+            "union.tus");
+  EXPECT_EQ(fallback_of(RouteUnion(UnionMethod::kStarmie), no_tus), "none");
+  EXPECT_EQ(fallback_of(RouteUnion(UnionMethod::kTus), kAllTiers), "none");
+  EXPECT_EQ(fallback_of(RouteJoin(JoinMethod::kJosie), kAllTiers),
+            "join.approx");
+  EXPECT_EQ(fallback_of(RouteJoin(JoinMethod::kJosie), no_approx),
+            "join.lsh_ensemble");
+  EXPECT_EQ(fallback_of(RouteJoin(JoinMethod::kJosie), no_join_tiers),
+            "none");
+  EXPECT_EQ(fallback_of(RouteJoin(JoinMethod::kApprox), kAllTiers), "none");
+  EXPECT_EQ(fallback_of(RouteJoin(JoinMethod::kLshEnsemble), kAllTiers),
+            "none");
+  QueryRequest keyword;
+  keyword.kind = QueryKind::kKeyword;
+  EXPECT_EQ(fallback_of(keyword, kAllTiers), "none");
+  EXPECT_EQ(Route(keyword, kAllTiers, true, nullptr).primary.modality,
+            "keyword");
+
+  // The fallback carries the rung's method, not the request's.
+  const RoutePlan plan =
+      Route(RouteUnion(UnionMethod::kStarmie), kAllTiers, true, nullptr);
+  ASSERT_TRUE(plan.fallback.has_value());
+  EXPECT_EQ(plan.fallback->union_method, UnionMethod::kTus);
+}
+
+TEST(RouteTest, BrownoutDisabledLeavesNoFallback) {
+  FakeSignals signals;
+  signals.permit = CircuitBreaker::Permit::kDenied;
+  const RoutePlan plan =
+      Route(RouteUnion(UnionMethod::kStarmie), kAllTiers, false, &signals);
+  EXPECT_FALSE(plan.fallback.has_value());
+  EXPECT_EQ(plan.start, RoutePlan::Start::kUnavailable);
+}
+
+TEST(RouteTest, BreakerDeniedStartsOnTheFallbackOrFails) {
+  FakeSignals signals;
+  signals.permit = CircuitBreaker::Permit::kDenied;
+  signals.budget = std::chrono::milliseconds(100);
+  RoutePlan plan =
+      Route(RouteJoin(JoinMethod::kJosie), kAllTiers, true, &signals);
+  EXPECT_EQ(plan.start, RoutePlan::Start::kFallbackOnly);
+  EXPECT_EQ(plan.permit, CircuitBreaker::Permit::kDenied);
+  ASSERT_TRUE(plan.fallback.has_value());
+  EXPECT_EQ(plan.fallback->modality, "join.approx");
+
+  plan = Route(RouteJoin(JoinMethod::kApprox), kAllTiers, true, &signals);
+  EXPECT_EQ(plan.start, RoutePlan::Start::kUnavailable);
+  // Only the primary's breaker is asked; a refusal needs no latency.
+  EXPECT_EQ(signals.permits_asked,
+            (std::vector<std::string>{"join.josie", "join.approx"}));
+  EXPECT_EQ(signals.latency_reads, 0);
+}
+
+TEST(RouteTest, BudgetBelowP95StartsOnTheFallbackOnceTrusted) {
+  FakeSignals signals;
+  signals.budget = std::chrono::microseconds(500);
+  signals.RecordMillis(31);
+  const QueryRequest req = RouteUnion(UnionMethod::kStarmie);
+  // 31 samples: the p95 is not trusted yet.
+  EXPECT_EQ(Route(req, kAllTiers, true, &signals).start,
+            RoutePlan::Start::kPrimary);
+  signals.RecordMillis(1);
+  EXPECT_EQ(Route(req, kAllTiers, true, &signals).start,
+            RoutePlan::Start::kFallback);
+  // A budget above the p95 runs the primary.
+  signals.budget = std::chrono::milliseconds(5);
+  EXPECT_EQ(Route(req, kAllTiers, true, &signals).start,
+            RoutePlan::Start::kPrimary);
+}
+
+TEST(RouteTest, NoDeadlineOrNoFallbackNeverReadsLatency) {
+  FakeSignals signals;
+  signals.RecordMillis(64);
+  EXPECT_EQ(
+      Route(RouteUnion(UnionMethod::kStarmie), kAllTiers, true, &signals)
+          .start,
+      RoutePlan::Start::kPrimary);
+  signals.budget = std::chrono::microseconds(1);
+  EXPECT_EQ(
+      Route(RouteUnion(UnionMethod::kTus), kAllTiers, true, &signals).start,
+      RoutePlan::Start::kPrimary);
+  EXPECT_EQ(signals.latency_reads, 0);
+}
+
+TEST(RouteTest, HalfOpenProbeAlwaysRunsThePrimary) {
+  FakeSignals signals;
+  signals.permit = CircuitBreaker::Permit::kProbe;
+  signals.budget = std::chrono::microseconds(1);
+  signals.RecordMillis(64);
+  const RoutePlan plan =
+      Route(RouteJoin(JoinMethod::kJosie), kAllTiers, true, &signals);
+  EXPECT_EQ(plan.start, RoutePlan::Start::kPrimary);
+  EXPECT_EQ(plan.permit, CircuitBreaker::Permit::kProbe);
+  EXPECT_TRUE(plan.fallback.has_value());
+  EXPECT_EQ(signals.latency_reads, 0);
+}
+
+TEST(RouteTest, WithoutSignalsPlansThePrimaryOnly) {
+  const RoutePlan plan =
+      Route(RouteJoin(JoinMethod::kJosie), kAllTiers, true, nullptr);
+  EXPECT_EQ(plan.start, RoutePlan::Start::kPrimary);
+  EXPECT_EQ(plan.permit, CircuitBreaker::Permit::kAllowed);
 }
 
 }  // namespace

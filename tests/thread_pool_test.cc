@@ -60,9 +60,11 @@ TEST(ThreadPoolTest, SubmitDuringShutdownStillRuns) {
     });
     go.store(true);
     std::this_thread::sleep_for(std::chrono::microseconds(50));
-    // Pool destructor races with the submitter here.
+    // Shutdown races with the submitter here; it finishes before the pool
+    // is destroyed.
+    pool.Shutdown();
+    submitter.join();
   }
-  submitter.join();
   EXPECT_EQ(completed.load(), 100);
 }
 
@@ -91,9 +93,11 @@ TEST(ThreadPoolStressTest, ConcurrentSubmittersAndRepeatedShutdown) {
         });
       }
       go.store(true);
-      // Destructor runs while producers may still be submitting.
+      // Shutdown runs while producers may still be submitting; they finish
+      // before the pool is destroyed.
+      pool.Shutdown();
+      for (auto& t : producers) t.join();
     }
-    for (auto& t : producers) t.join();
     uint64_t expect = 0;
     for (int p = 0; p < kProducers; ++p) {
       for (int i = 0; i < kTasksPerProducer; ++i) {

@@ -79,8 +79,14 @@ TEST(ResultTest, AssignOrReturnPropagates) {
 
 // --- Hash -----------------------------------------------------------------
 
-// A bare literal with a second argument binds to the (data, len) overload,
-// so the seeded calls spell out the string_view overload.
+TEST(HashTest, SeededLiteralHashesTheWholeString) {
+  // The byte-range hash is HashBytes, so a literal with a seed takes the
+  // string_view overload instead of reading the seed as a length.
+  EXPECT_EQ(Hash64("abcdefghij", 3),
+            Hash64(std::string_view("abcdefghij"), 3));
+  EXPECT_EQ(Hash64(std::string_view("abc")), HashBytes("abc", 3));
+}
+
 TEST(HashTest, DeterministicAcrossCalls) {
   EXPECT_EQ(Hash64("hello"), Hash64("hello"));
   EXPECT_EQ(Hash64(std::string_view("hello"), 7),
